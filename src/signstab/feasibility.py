@@ -1,149 +1,65 @@
 """Exact feasibility of homogeneous linear systems with strict/weak/equality
-constraints, with rational witness points.
+constraints, with integer witness points.
 
 The open-cone question "is there x with r.x > 0 for all rows r" drives the
-realizable-sign enumeration.  Backends: Fourier-Motzkin elimination with
-redundancy pruning in dimension <= 8, phase-1 rational simplex (Bland's
-rule) above; strict constraints become ">= 1" by homogeneity.
+realizable-sign enumeration.  By Motzkin's transposition theorem (Gordan's
+when every row is strict) exactly one of these holds:
+
+* some x has S x > 0, W x >= 0, E x = 0;
+* some y_S, y_W >= 0 with sum(y_S) = 1 and a free y_E have
+  S^T y_S + W^T y_W + E^T y_E = 0.
+
+One phase-1 simplex on the second (transposed) system decides which: a zero
+optimum leaves the multiplier y in the basis, a positive optimum leaves a
+witness x in the duals of the artificial columns.  The tableau has dim + 1
+rows and one column per constraint (two per equality).  Pivoting is
+fraction-free (every entry an integer over the running pivot) with Bland's
+rule, and both certificates are re-checked exactly in integers before the
+answer is returned; a failed check raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-FM_MAX_DIM = 8
+from math import gcd, lcm
 
 
-def _normalize_row(row):
-    """Scale an integer/rational row to a primitive integer row."""
-    den = 1
-    for x in row:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _primitive(row):
+    """Scale a rational row by a positive factor to a primitive integer row."""
+    if not all(type(x) is int for x in row):
+        fracs = [Fraction(x) for x in row]
+        den = lcm(*(f.denominator for f in fracs))
+        row = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
-# -- Fourier-Motzkin ---------------------------------------------------------
+def _phase1(columns, norm, dim):
+    """Fraction-free phase-1 simplex for sum_j y_j columns[j] = 0,
+    sum_j norm[j] y_j = 1, y >= 0, started from dim + 1 artificials.
 
-
-def _fm_eliminate(rows, dim):
-    """Eliminate variables one by one; rows are (coeffs, strict) pairs.
-
-    Returns the elimination stack for back-substitution, or None when an
-    inconsistent all-zero strict row shows up.
+    Returns (tableau, basis, cost, piv): every entry is an integer over the
+    final pivot piv > 0, cost[j] is piv times minus the reduced cost of
+    column j and cost[-1] is piv times the optimum.
     """
-    stack = []
-    current = list(rows)
-    for var in range(dim - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coeffs, strict in current:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, strict))
-            elif c < 0:
-                neg.append((coeffs, strict))
-            else:
-                rest.append((coeffs, strict))
-        stack.append((var, pos, neg))
-        combined = {}
-        for pc, ps in pos:
-            for nc, ns in neg:
-                a, b = pc[var], -nc[var]
-                new = tuple(
-                    b * pc[j] + a * nc[j] if j != var else 0 for j in range(dim)
-                )
-                strict = ps or ns
-                key = _normalize_row(new)
-                combined[key] = combined.get(key, False) or strict
-        current = []
-        seen = {}
-        for coeffs, strict in rest + [
-            (tuple(k), s) for k, s in combined.items()
-        ]:
-            key = _normalize_row(coeffs)
-            if all(x == 0 for x in key):
-                if strict:
-                    return None
-                continue
-            seen[key] = seen.get(key, False) or strict
-        current = [(k, s) for k, s in seen.items()]
-    return stack
-
-
-def _fm_witness(stack, dim):
-    """Back-substitute through the elimination stack to build a point."""
-    x = [Fraction(0)] * dim
-    for var, pos, neg in reversed(stack):
-        lowers, uppers = [], []
-        for coeffs, strict in pos:
-            # coeffs[var] * x_var + rest > 0 (or >= 0)
-            rest = sum(Fraction(coeffs[j]) * x[j] for j in range(dim) if j != var)
-            bound = -rest / coeffs[var]
-            lowers.append((bound, strict))
-        for coeffs, strict in neg:
-            rest = sum(Fraction(coeffs[j]) * x[j] for j in range(dim) if j != var)
-            bound = -rest / coeffs[var]
-            uppers.append((bound, strict))
-        lo = max((b for b, _ in lowers), default=None)
-        hi = min((b for b, _ in uppers), default=None)
-        if lo is None and hi is None:
-            x[var] = Fraction(0)
-        elif lo is None:
-            x[var] = hi - 1
-        elif hi is None:
-            x[var] = lo + 1
-        else:
-            x[var] = (lo + hi) / 2
-    return x
-
-
-def _fm_feasible(rows, dim):
-    stack = _fm_eliminate(rows, dim)
-    if stack is None:
-        return None
-    return _fm_witness(stack, dim)
-
-
-# -- phase-1 simplex with fraction-free integer pivoting -------------------------
-
-
-def _simplex_phase1(eq_rows, rhs):
-    """Solve min sum(artificials) for A z = rhs, z >= 0 (artificial start).
-
-    eq_rows: integer rows (length nv), rhs: nonnegative integers.  Returns
-    the basic solution for the z variables (Fractions) if the optimum is
-    zero, else None.  Fraction-free integer pivoting (Bareiss updates) with
-    Bland's anti-cycling rule; every entry stays an exact integer and the
-    running pivot is the common denominator.
-    """
-    m = len(eq_rows)
-    nv = len(eq_rows[0]) if m else 0
+    nv = len(columns)
+    m = dim + 1
     total = nv + m
     tableau = []
-    for i, row in enumerate(eq_rows):
-        r = [int(x) for x in row]
-        r.extend(1 if i == j else 0 for j in range(m))
-        r.append(int(rhs[i]))
-        tableau.append(r)
-    basis = list(range(nv, nv + m))
-    # reduced-cost row for min sum of artificials, artificial basis start
-    cost = [0] * (total + 1)
-    for row in tableau:
-        for j in range(total + 1):
-            cost[j] += row[j]
+    for i in range(m):
+        row = [c[i] for c in columns] if i < dim else list(norm)
+        row.extend(1 if i == k else 0 for k in range(m))
+        row.append(1 if i == dim else 0)
+        tableau.append(row)
+    basis = list(range(nv, total))
+    cost = [sum(col) for col in zip(*tableau)]
     for j in range(nv, total):
         cost[j] -= 1
-    prev_piv = 1
+    prev = 1
     while True:
         enter = next((j for j in range(total) if cost[j] > 0), None)
         if enter is None:
-            break
+            return tableau, basis, cost, prev
         leave = None
         for i in range(m):
             t = tableau[i][enter]
@@ -153,11 +69,11 @@ def _simplex_phase1(eq_rows, rhs):
                 leave = i
                 continue
             lhs = tableau[i][total] * tableau[leave][enter]
-            rhs_cmp = tableau[leave][total] * t
-            if lhs < rhs_cmp or (lhs == rhs_cmp and basis[i] < basis[leave]):
+            rhs = tableau[leave][total] * t
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
         if leave is None:
-            break  # phase-1 objective is bounded; defensive
+            raise ArithmeticError("phase-1 objective unbounded below")
         piv = tableau[leave][enter]
         prow = tableau[leave]
         for i in range(m):
@@ -166,70 +82,53 @@ def _simplex_phase1(eq_rows, rhs):
             row = tableau[i]
             f = row[enter]
             if f:
-                tableau[i] = [
-                    (piv * a - f * b) // prev_piv for a, b in zip(row, prow)
-                ]
-            elif piv != prev_piv:
-                tableau[i] = [(piv * a) // prev_piv for a in row]
+                tableau[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+            elif piv != prev:
+                tableau[i] = [(piv * a) // prev for a in row]
         f = cost[enter]
         if f:
-            cost = [(piv * a - f * b) // prev_piv for a, b in zip(cost, prow)]
-        elif piv != prev_piv:
-            cost = [(piv * a) // prev_piv for a in cost]
+            cost = [(piv * a - f * b) // prev for a, b in zip(cost, prow)]
+        elif piv != prev:
+            cost = [(piv * a) // prev for a in cost]
         basis[leave] = enter
-        prev_piv = piv
-    if cost[total] != 0:
+        prev = piv
+
+
+def _solve(strict, weak, eq, dim):
+    """Witness for {S x > 0, W x >= 0, E x = 0} on primitive integer rows,
+    or None when an exactly checked multiplier proves the system empty."""
+    if not strict:
+        return [0] * dim
+    columns = strict + weak + eq + [tuple(-x for x in r) for r in eq]
+    norm = [1] * len(strict) + [0] * (len(columns) - len(strict))
+    tableau, basis, cost, piv = _phase1(columns, norm, dim)
+    nv = len(columns)
+    if cost[-1] == 0:
+        y = [0] * nv
+        for i, b in enumerate(basis):
+            if b < nv:
+                y[b] = tableau[i][-1]
+        if (
+            min(y) < 0
+            or sum(y[: len(strict)]) != piv
+            or any(sum(yj * c[k] for yj, c in zip(y, columns)) for k in range(dim))
+        ):
+            raise ArithmeticError("empty-cone multiplier failed exact check")
         return None
-    solution = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        solution[b] = Fraction(tableau[i][total], prev_piv)
-    if any(solution[j] != 0 for j in range(nv, total)):
-        return None
-    return solution[:nv]
+    x = [-(cost[nv + k] + piv) for k in range(dim)]
+    g = gcd(*x)
+    if g > 1:
+        x = [v // g for v in x]
 
+    def dot(r):
+        return sum(c * v for c, v in zip(r, x))
 
-def _simplex_feasible(strict_rows, weak_rows, eq_rows, dim):
-    """Witness for {S x >= 1, W x >= 0, E x = 0} via x = u - v, u,v >= 0.
-
-    Rows must already be integer (the public entry points normalize).
-    """
-    rows, rhs = [], []
-
-    def expand(coeffs):
-        c = [int(x) for x in coeffs]
-        return c + [-x for x in c]
-
-    slack_count = len(strict_rows) + len(weak_rows)
-    slot = 0
-    for coeffs in strict_rows:
-        r = expand(coeffs) + [0] * slack_count
-        r[2 * dim + slot] = -1
-        slot += 1
-        rows.append(r)
-        rhs.append(1)
-    for coeffs in weak_rows:
-        r = expand(coeffs) + [0] * slack_count
-        r[2 * dim + slot] = -1
-        slot += 1
-        rows.append(r)
-        rhs.append(0)
-    for coeffs in eq_rows:
-        rows.append(expand(coeffs) + [0] * slack_count)
-        rhs.append(0)
-    sol = _simplex_phase1(rows, rhs)
-    if sol is None:
-        return None
-    x = [sol[j] - sol[dim + j] for j in range(dim)]
-    # exact re-check of the witness guards the fraction-free pivoting
-    for coeffs in strict_rows:
-        if sum(Fraction(c) * v for c, v in zip(coeffs, x)) < 1:
-            raise ArithmeticError("simplex witness failed exact verification")
-    for coeffs in weak_rows:
-        if sum(Fraction(c) * v for c, v in zip(coeffs, x)) < 0:
-            raise ArithmeticError("simplex witness failed exact verification")
-    for coeffs in eq_rows:
-        if sum(Fraction(c) * v for c, v in zip(coeffs, x)) != 0:
-            raise ArithmeticError("simplex witness failed exact verification")
+    if (
+        any(dot(r) <= 0 for r in strict)
+        or any(dot(r) < 0 for r in weak)
+        or any(dot(r) for r in eq)
+    ):
+        raise ArithmeticError("cone witness failed exact check")
     return x
 
 
@@ -237,32 +136,19 @@ def _simplex_feasible(strict_rows, weak_rows, eq_rows, dim):
 
 
 def open_cone_witness(rows, dim):
-    """A rational x with r.x > 0 for every row, or None if the open cone is
+    """An integer x with r.x > 0 for every row, or None if the open cone is
     empty.  Rows may be empty (any point works, the origin is returned)."""
-    if not rows:
-        return [Fraction(0)] * dim
-    norm = [_normalize_row(r) for r in rows]
-    if any(all(x == 0 for x in r) for r in norm):
-        return None
-    if dim <= FM_MAX_DIM:
-        return _fm_feasible([(r, True) for r in norm], dim)
-    return _simplex_feasible(norm, [], [], dim)
+    return _solve([_primitive(r) for r in rows], [], [], dim)
 
 
 def mixed_cone_witness(strict, weak, eq, dim):
     """Witness for the mixed system {s.x > 0, w.x >= 0, e.x = 0}."""
-    strict = [_normalize_row(r) for r in strict]
-    weak = [_normalize_row(r) for r in weak]
-    eq = [_normalize_row(r) for r in eq]
-    for r in strict:
-        if all(x == 0 for x in r):
-            return None
-    weak = [r for r in weak if any(x != 0 for x in r)]
-    eq = [r for r in eq if any(x != 0 for x in r)]
-    if dim <= FM_MAX_DIM and not eq:
-        rows = [(r, True) for r in strict] + [(r, False) for r in weak]
-        return _fm_feasible(rows, dim)
-    return _simplex_feasible(strict, weak, eq, dim)
+    return _solve(
+        [_primitive(r) for r in strict],
+        [_primitive(r) for r in weak],
+        [_primitive(r) for r in eq],
+        dim,
+    )
 
 
 def verify_open(rows, x) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError
+from .errors import FormatError, FrozenIndexError
 from .reduction import Cone
 from .scalars import Scalar, format_scalar, parse_scalar
 from .seeds import Flip, MutationPath, Permute, Seed, Triangulation
@@ -104,6 +104,10 @@ def path_from_obj(obj, where="path", base_dir: Path | None = None) -> MutationPa
         if "flip" in raw:
             if not isinstance(raw["flip"], int):
                 raise FormatError(f"{where}: step {i} flip index must be int")
+            try:
+                seed.require_unfrozen(raw["flip"])
+            except FrozenIndexError as exc:
+                raise FrozenIndexError(f"{where}: step {i}: {exc}") from exc
             steps.append(Flip(raw["flip"]))
         elif "perm" in raw:
             try:

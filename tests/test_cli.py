@@ -94,6 +94,22 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"] == "NonStrictSignError"
 
 
+@pytest.mark.parametrize("command", ["sign", "signs-enumerate"])
+def test_flip_index_checked_on_load(capsys, tmp_path, command):
+    path = json.load(open(f"{DATA}/a2_path.json"))
+    path["steps"].append({"flip": 5})
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(path))
+    argv = ["--json-only", command, "--path", str(path_file)]
+    if command == "sign":
+        argv += ["--point", "[1,2]"]
+    code, out, _ = run(capsys, *argv)
+    assert code in (1, 2)
+    doc = json.loads(out)
+    assert doc["error"] == "FrozenIndexError"
+    assert "step 3" in doc["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

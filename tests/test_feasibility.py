@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from signstab.feasibility import (
-    _fm_feasible,
-    _simplex_feasible,
     mixed_cone_witness,
     open_cone_witness,
     verify_open,
 )
+from signstab.stability import SignCone, cone_feasible
 
 
 def test_contradiction_infeasible():
@@ -39,17 +39,55 @@ def random_rows(rng, dim, count):
     ]
 
 
-def test_fm_and_simplex_agree():
+def _unique_solution(a, b):
+    """The unique solution of a z = b (Fraction elimination), or None when
+    the system is inconsistent or underdetermined."""
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(a, b)]
+    cols = len(a[0])
+    rank = 0
+    for c in range(cols):
+        p = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            return None
+        m[rank], m[p] = m[p], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    if any(row[-1] != 0 for row in m[rank:]):
+        return None
+    return [m[i][-1] for i in range(cols)]
+
+
+def _gordan_oracle_empty(rows, dim):
+    """The open cone {x : r.x > 0} is empty iff 0 is in conv(rows) (Gordan).
+    By Caratheodory some affinely independent subset of at most dim + 1 rows
+    then has 0 in its convex hull, with unique barycentric coordinates."""
+    for size in range(1, min(len(rows), dim + 1) + 1):
+        for subset in combinations(rows, size):
+            a = [[r[k] for r in subset] for k in range(dim)] + [[1] * size]
+            lam = _unique_solution(a, [0] * dim + [1])
+            if lam is not None and all(x >= 0 for x in lam):
+                return True
+    return False
+
+
+def test_open_cone_matches_gordan_oracle():
     rng = random.Random(11)
-    for _ in range(300):
+    empties = 0
+    for _ in range(400):
         dim = rng.randint(1, 5)
         rows = random_rows(rng, dim, rng.randint(1, 6))
-        fm = _fm_feasible([(r, True) for r in rows], dim)
-        sx = _simplex_feasible(rows, [], [], dim)
-        assert (fm is None) == (sx is None)
-        if fm is not None:
-            assert verify_open(rows, fm)
-            assert verify_open(rows, sx)
+        w = open_cone_witness(rows, dim)
+        expect_empty = _gordan_oracle_empty(rows, dim)
+        assert (w is None) == expect_empty, (rows, w)
+        if w is None:
+            empties += 1
+        else:
+            assert all(sum(c * x for c, x in zip(r, w)) > 0 for r in rows)
+    assert 50 < empties < 350  # both answers are exercised
 
 
 def test_mixed_constraints():
@@ -69,14 +107,34 @@ def test_weak_only_always_feasible_at_origin():
     assert w is not None  # the origin satisfies weak rows
 
 
-def test_fm_witness_respects_weak_rows():
-    rows = [((1, 0), True), ((-1, 1), False)]
-    w = _fm_feasible(rows, 2)
+def test_mixed_witness_respects_weak_rows():
+    w = mixed_cone_witness([(1, 0)], [(-1, 1)], [], 2)
     assert w is not None
     assert w[0] > 0 and -w[0] + w[1] >= 0
+    # two opposite weak rows pin the witness to the line y = x
+    w = mixed_cone_witness([(1, 0)], [(-1, 1), (1, -1)], [], 2)
+    assert w is not None and w[0] > 0 and w[1] == w[0]
+    # weak rows alone can cut a strict cone away
+    assert mixed_cone_witness([(1, 1)], [(-1, 0), (0, -1)], [], 2) is None
 
 
 def test_fraction_rows_supported():
     rows = [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(0), Fraction(2, 7))]
     w = open_cone_witness(rows, 2)
+    assert w is not None and verify_open(rows, w)
+
+
+def test_empty_systems_above_dim_8_are_feasible_at_origin():
+    assert cone_feasible(SignCone((((0,) * 9, ">="),)))
+    assert mixed_cone_witness([], [], [], 9) == [0] * 9
+    assert mixed_cone_witness([], [(0,) * 12], [(0,) * 12], 12) == [0] * 12
+    assert open_cone_witness([], 9) == [0] * 9
+
+
+def test_dense_dim_8_system_solves():
+    # pairwise row combination (Fourier-Motzkin) grows doubly exponentially
+    # on this system; the transposed simplex answers it directly
+    rng = random.Random(3)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(16)]
+    w = open_cone_witness(rows, 8)
     assert w is not None and verify_open(rows, w)
