@@ -12,10 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError, FrozenIndexError
+from .errors import FormatError, FrozenIndexError, SplitViolationError
 from .reduction import Cone
 from .scalars import Scalar, format_scalar, parse_scalar
-from .seeds import Flip, MutationPath, Permute, Seed, Triangulation
+from .seeds import Flip, MutationPath, Permute, Seed, Triangulation, check_split
 from .traintrack import TrainTrack
 
 SCHEMA_VERSION = 1
@@ -38,6 +38,11 @@ def _expect(obj, key, kind, where):
     if kind is not None and not isinstance(val, kind):
         raise FormatError(f"{where}: key {key!r} has wrong type")
     return val
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_coord(value) -> Scalar:
@@ -63,9 +68,11 @@ def seed_from_obj(obj, where="seed") -> Seed:
     n = _expect(obj, "n", int, where)
     unfrozen = _expect(obj, "unfrozen", list, where)
     b = _expect(obj, "B", list, where)
+    if not _is_int(n) or not all(_is_int(i) for i in unfrozen):
+        raise FormatError(f"{where}: n and unfrozen indices must be integers")
     if len(b) != n or any(len(row) != n for row in b):
         raise FormatError(f"{where}: B is not {n}x{n}")
-    if any(not isinstance(x, int) or isinstance(x, bool) for row in b for x in row):
+    if not all(_is_int(x) for row in b for x in row):
         raise FormatError(f"{where}: B entries must be integers")
     try:
         return Seed(b, frozenset(unfrozen))
@@ -101,8 +108,10 @@ def path_from_obj(obj, where="path", base_dir: Path | None = None) -> MutationPa
     for i, raw in enumerate(_expect(obj, "steps", list, where)):
         if not isinstance(raw, dict) or len(raw) != 1:
             raise FormatError(f"{where}: step {i} must be a one-key object")
+        # The unfrozen set is the same at every vertex of a path, so each
+        # step is checked against the initial seed.
         if "flip" in raw:
-            if not isinstance(raw["flip"], int):
+            if not _is_int(raw["flip"]):
                 raise FormatError(f"{where}: step {i} flip index must be int")
             try:
                 seed.require_unfrozen(raw["flip"])
@@ -110,10 +119,18 @@ def path_from_obj(obj, where="path", base_dir: Path | None = None) -> MutationPa
                 raise FrozenIndexError(f"{where}: step {i}: {exc}") from exc
             steps.append(Flip(raw["flip"]))
         elif "perm" in raw:
+            sigma = raw["perm"]
+            if not isinstance(sigma, list) or not all(_is_int(x) for x in sigma):
+                raise FormatError(f"{where}: step {i} perm must be a list of ints")
             try:
-                steps.append(Permute(tuple(raw["perm"])))
-            except (TypeError, ValueError) as exc:
+                step = Permute(tuple(sigma))
+            except ValueError as exc:
                 raise FormatError(f"{where}: step {i}: {exc}") from exc
+            try:
+                check_split(seed, step.sigma)
+            except SplitViolationError as exc:
+                raise SplitViolationError(f"{where}: step {i}: {exc}") from exc
+            steps.append(step)
         else:
             raise FormatError(f"{where}: step {i} must be 'flip' or 'perm'")
     return MutationPath(seed, tuple(steps))

@@ -35,10 +35,6 @@ def mat_vec(a: Matrix, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def scale_vec(c, v):
-    return tuple(c * x for x in v)
-
-
 def perm_matrix(sigma) -> Matrix:
     """Matrix of the relabeling x'_{sigma(i)} = x_i: entry 1 at (sigma(i), i)."""
     n = len(sigma)

@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, FrozenIndexError, SplitViolationError
 from .scalars import Scalar, scalar_sign
-from .seeds import Flip, MutationPath, Seed, apply_perm, mutate_b
+from .seeds import Flip, FlipStep, MutationPath, Seed
+from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 from .stability import (
     IntPoly,
     cyclotomic_like_product,
@@ -25,11 +26,10 @@ from .stability import (
 from .tropical import (
     SignSeq,
     TropPoint,
-    _permute_point,
     check_point,
     presentation_matrix_for_sign,
-    trop_mutate,
 )
+from .tropical import trop_mutate  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 
 @dataclass(frozen=True)
@@ -47,40 +47,26 @@ class Cone:
         object.__setattr__(self, "generators", gens)
 
 
-def _walk_with_generators(path: MutationPath, cone: Cone):
-    """Yield (flip position, seed, unfrozen position, transported generators)
-    at each flip; generators are carried through every step."""
-    seed = path.initial
-    gens = [check_point(seed, g) for g in cone.generators]
-    nu = 0
-    for step in path.steps:
-        if isinstance(step, Flip):
-            kp = seed.unfrozen_order.index(step.k)
-            yield nu, seed, kp, gens
-            gens = [trop_mutate(seed, step.k, g) for g in gens]
-            seed = mutate_b(seed, step.k)
-            nu += 1
-        else:
-            gens = [_permute_point(seed, step.sigma, g) for g in gens]
-            seed = apply_perm(seed, step.sigma)
-
-
-def edge_compatibility(path: MutationPath, cone: Cone) -> list[bool]:
-    """Per-flip: does the mutating coordinate vanish on every generator."""
-    out = []
-    for _, _, kp, gens in _walk_with_generators(path, cone):
-        out.append(all(scalar_sign(g[kp]) == 0 for g in gens))
-    return out
-
-
 def generator_coordinate_trace(path: MutationPath, cone: Cone):
     """Per-flip list of the mutating coordinate of each generator.
 
     Useful for spot-checking transported cone data against known values.
     """
+    gens = [check_point(path.initial, g) for g in cone.generators]
+    compiled = path.compiled
+    walks = [compiled.walk(g, scalar_sign)[1] for g in gens]
     return [
-        [g[kp] for g in gens]
-        for _, _, kp, gens in _walk_with_generators(path, cone)
+        [before[i][step.kp] for before in walks]
+        for i, step in enumerate(compiled.steps)
+        if type(step) is FlipStep
+    ]
+
+
+def edge_compatibility(path: MutationPath, cone: Cone) -> list[bool]:
+    """Per-flip: does the mutating coordinate vanish on every generator."""
+    return [
+        all(scalar_sign(x) == 0 for x in coords)
+        for coords in generator_coordinate_trace(path, cone)
     ]
 
 

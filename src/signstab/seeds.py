@@ -1,14 +1,21 @@
-"""Seeds, matrix mutation, paths in the labeled exchange graph, C/G-matrices,
-and exchange matrices of ideal triangulations.
+"""Seeds, matrix mutation, paths in the labeled exchange graph, compiled
+paths, C/G-matrices, and exchange matrices of ideal triangulations.
 
 Only skew-symmetric seeds are accepted.  Frozen rows and columns of B are
 carried along but ignored by every tropical computation, which works on
 the unfrozen block.
+
+A path is walked through its seeds once, the first time it is used: the
+walk is kept as a :class:`CompiledPath`, the path's action on unfrozen
+positions, and every later walk (points, presentation products, sign
+cones, C/G-matrices) runs on it instead of mutating seeds again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from . import matrices as mx
 from .errors import (
@@ -92,6 +99,11 @@ class MutationPath:
     def flip_indices(self) -> tuple[int, ...]:
         return tuple(s.k for s in self.steps if isinstance(s, Flip))
 
+    @cached_property
+    def compiled(self) -> "CompiledPath":
+        """The path's action on unfrozen positions, built on first use."""
+        return CompiledPath.build(self)
+
 
 def mutate_b(seed: Seed, k: int) -> Seed:
     """Matrix mutation in direction k (unfrozen)."""
@@ -149,7 +161,7 @@ def seeds_along(path: MutationPath) -> list[Seed]:
 
 def is_loop(path: MutationPath) -> bool:
     """End matrix equal to start matrix, entrywise."""
-    return seeds_along(path)[-1].b == path.initial.b
+    return path.compiled.end.b == path.initial.b
 
 
 def _uf_position_perm(seed: Seed, sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,6 +169,123 @@ def _uf_position_perm(seed: Seed, sigma: tuple[int, ...]) -> tuple[int, ...]:
     order = seed.unfrozen_order
     pos = {idx: p for p, idx in enumerate(order)}
     return tuple(pos[sigma[idx]] for idx in order)
+
+
+# -- compiled paths ------------------------------------------------------------
+
+
+class FlipStep(NamedTuple):
+    """A flip at unfrozen position kp.
+
+    cols[s], for s = 1 and s = -1, lists the pairs (i, [s*b_ik]_+) with a
+    positive coefficient, i != kp, at the seed the flip starts from; cols[0]
+    is empty, so a zero sign changes nothing but the mutating coordinate.
+    """
+
+    kp: int
+    cols: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class PermStep(NamedTuple):
+    """A relabeling: unfrozen position i moves to position perm[i]."""
+
+    perm: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CompiledPath:
+    """A mutation path as linear data on unfrozen positions.
+
+    Built once per path (see ``MutationPath.compiled``): one walk through
+    the seeds, with every check ``mutate_b``, ``apply_perm`` and
+    ``require_unfrozen`` make, leaves a FlipStep or PermStep per step and
+    the end seed.
+    """
+
+    n: int
+    steps: tuple[FlipStep | PermStep, ...]
+    end: Seed
+
+    @classmethod
+    def build(cls, path: MutationPath) -> "CompiledPath":
+        seeds = seeds_along(path)
+        order = path.initial.unfrozen_order
+        pos = {idx: p for p, idx in enumerate(order)}
+        steps = []
+        for seed, step in zip(seeds, path.steps):
+            if isinstance(step, Permute):
+                steps.append(PermStep(_uf_position_perm(seed, step.sigma)))
+                continue
+            column = [(p, seed.b[i][step.k]) for p, i in enumerate(order)
+                      if i != step.k]
+            plus = tuple((p, b) for p, b in column if b > 0)
+            minus = tuple((p, -b) for p, b in column if b < 0)
+            steps.append(FlipStep(pos[step.k], ((), plus, minus)))
+        return cls(len(order), tuple(steps), seeds[-1])
+
+    def walk(self, w, sign):
+        """Carry the point w (a tuple) along the path.
+
+        At a flip with s = sign(w_k): w'_k = -w_k and w'_i = w_i +
+        [s*b_ik]_+ * w_k.  Returns (the sign at each flip, the point before
+        each step, the end point).
+        """
+        signs = []
+        before = []
+        for step in self.steps:
+            before.append(w)
+            out = list(w)
+            if type(step) is PermStep:
+                for i, p in enumerate(step.perm):
+                    out[p] = w[i]
+            else:
+                kp, cols = step
+                wk = w[kp]
+                s = sign(wk)
+                signs.append(s)
+                out[kp] = -wk
+                for i, c in cols[s]:
+                    out[i] = w[i] + c * wk
+            w = tuple(out)
+        return tuple(signs), before, w
+
+    @staticmethod
+    def apply_left(m: list, step: FlipStep | PermStep, eps: int = 0):
+        """Left-multiply the matrix m, a list of rows, by the step's matrix
+        in place: the edge matrix of sign eps at a flip (E_kk = -1,
+        E_ik = [eps*b_ik]_+), the permutation matrix at a relabeling.
+        Rows are replaced, never mutated, so a shallow copy of m is a
+        separate matrix."""
+        if type(step) is PermStep:
+            out = [None] * len(m)
+            for i, p in enumerate(step.perm):
+                out[p] = m[i]
+            m[:] = out
+            return
+        kp, cols = step
+        krow = m[kp]
+        for i, c in cols[eps]:
+            m[i] = [x + c * y for x, y in zip(m[i], krow)]
+        m[kp] = [-x for x in krow]
+
+    def branch(self, eps) -> tuple[list[tuple], list[list]]:
+        """The linear branch of the strict sign sequence eps.
+
+        Returns the sign-cone rows, eps_nu times row k_nu of the running
+        product just before flip nu, and the presentation matrix, the
+        product of all step matrices in application order.
+        """
+        n = self.n
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = []
+        signs = iter(eps)
+        for step in self.steps:
+            s = 0
+            if type(step) is FlipStep:
+                s = next(signs)
+                rows.append(tuple(s * x for x in m[step.kp]))
+            self.apply_left(m, step, s)
+        return rows, m
 
 
 def _column_sign(col) -> int:
@@ -185,55 +314,35 @@ def _cg_matrices(path: MutationPath) -> tuple[mx.Matrix, mx.Matrix]:
 
     At a flip in direction k with tropical sign eps (the common sign of the
     current column c_k): c'_k = -c_k and c'_j = c_j + [eps*b_kj]_+ c_k, while
-    g'_k = -g_k + sum_j [-eps*b_jk]_+ g_j.  A vertical step relabels the
-    COLUMNS the same way it relabels B (rows stay in the initial basis);
-    relabeling rows instead silently desynchronizes the columns from the
-    b-entries used at later flips and breaks sign coherence.
+    g'_k = -g_k + sum_j [-eps*b_jk]_+ g_j.  By skew-symmetry both
+    coefficients are [-eps*b_jk]_+, the compiled column of sign -eps.  A
+    vertical step relabels the COLUMNS the same way it relabels B (rows
+    stay in the initial basis); relabeling rows instead silently
+    desynchronizes the columns from the b-entries used at later flips and
+    breaks sign coherence.
     """
-    seed = path.initial
-    order = seed.unfrozen_order
-    pos = {idx: p for p, idx in enumerate(order)}
-    n = len(order)
+    compiled = path.compiled
+    n = compiled.n
     c = [list(row) for row in mx.identity(n)]
     g = [list(row) for row in mx.identity(n)]
-    for step in path.steps:
-        if isinstance(step, Flip):
-            seed.require_unfrozen(step.k)
-            kp = pos[step.k]
-            col = [c[i][kp] for i in range(n)]
-            eps = _column_sign(col)
-            b = seed.b
-            for jp, j in enumerate(order):
-                if jp == kp:
-                    continue
-                coef = max(eps * b[step.k][j], 0)
-                if coef:
-                    for i in range(n):
-                        c[i][jp] += coef * col[i]
-            for i in range(n):
-                c[i][kp] = -col[i]
-            gcol = [
-                -g[i][kp]
-                + sum(
-                    max(-eps * seed.b[j][step.k], 0) * g[i][pos[j]]
-                    for j in order
-                    if j != step.k
-                )
-                for i in range(n)
-            ]
-            for i in range(n):
-                g[i][kp] = gcol[i]
-            seed = mutate_b(seed, step.k)
-        else:
-            check_split(seed, step.sigma)
-            col_perm = _uf_position_perm(seed, step.sigma)
+    for step in compiled.steps:
+        if type(step) is PermStep:
             for matrix in (c, g):
                 for i in range(n):
                     new_row = [None] * n
-                    for jp, img in enumerate(col_perm):
+                    for jp, img in enumerate(step.perm):
                         new_row[img] = matrix[i][jp]
                     matrix[i] = new_row
-            seed = apply_perm(seed, step.sigma)
+            continue
+        kp, cols = step
+        col = [c[i][kp] for i in range(n)]
+        coefs = cols[-_column_sign(col)]
+        for jp, coef in coefs:
+            for i in range(n):
+                c[i][jp] += coef * col[i]
+        for i in range(n):
+            c[i][kp] = -col[i]
+            g[i][kp] = -g[i][kp] + sum(coef * g[i][jp] for jp, coef in coefs)
     return mx.freeze(c), mx.freeze(g)
 
 

@@ -2,6 +2,12 @@
 enumeration of realizable sign sequences, characteristic polynomials,
 spectral radii, cluster stretch factors, and exact eigenpair checks.
 
+Every walk along a path runs on its :class:`~signstab.seeds.CompiledPath`:
+an orbit lap is ``CompiledPath.walk`` on exact scalars, the random
+samples of the enumeration walk integer points with plain ``int`` signs,
+and the sign tree, sign cones and stretch-factor table left-multiply the
+running presentation product one compiled step at a time.
+
 Floats appear only inside spectral-radius estimation and are never used
 for sign decisions; exactness claims are routed through verify_eigenpair
 or polynomial evaluation in Q(sqrt(d)).
@@ -10,21 +16,12 @@ or polynomial evaluation in Q(sqrt(d)).
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-
-
-def _thread_cap() -> int:
-    """Parallelism cap from SIGNSTAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SIGNSTAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 from . import matrices as mx
 from .errors import (
@@ -35,7 +32,7 @@ from .errors import (
 )
 from .feasibility import mixed_cone_witness, open_cone_witness
 from .scalars import Scalar, scalar_sign
-from .seeds import Flip, MutationPath, Seed, is_loop, seeds_along
+from .seeds import MutationPath, PermStep, Seed, is_loop
 from .tropical import (
     SignSeq,
     TropPoint,
@@ -67,25 +64,6 @@ class OrbitReport:
     all_zero_warning: bool = False
 
 
-def _sign_and_transport(path: MutationPath, w: TropPoint):
-    """One pass recording both the sign sequence and the end point."""
-    from .seeds import apply_perm, mutate_b
-    from .tropical import _permute_point, trop_mutate
-
-    seed = path.initial
-    signs = []
-    for step in path.steps:
-        if isinstance(step, Flip):
-            kp = seed.unfrozen_order.index(step.k)
-            signs.append(scalar_sign(w[kp]))
-            w = trop_mutate(seed, step.k, w)
-            seed = mutate_b(seed, step.k)
-        else:
-            w = _permute_point(seed, step.sigma, w)
-            seed = apply_perm(seed, step.sigma)
-    return tuple(signs), w
-
-
 def iterate_orbit(
     path: MutationPath,
     w: Sequence[Scalar],
@@ -100,10 +78,11 @@ def iterate_orbit(
     if window is None:
         window = max(2, n_max // 2)
     w = check_point(path.initial, w)
+    walk = path.compiled.walk
     iterations = []
     current = w
     for _ in range(n_max):
-        signs, nxt = _sign_and_transport(path, current)
+        signs, _, nxt = walk(current, scalar_sign)
         current = normalize_point(nxt)
         iterations.append((signs, current))
     report = OrbitReport(point=w, iterations=iterations, window=window)
@@ -160,68 +139,8 @@ def sign_geq(a: SignSeq, b: SignSeq) -> bool:
 # -- realizable sign sequences ------------------------------------------------
 
 
-def _int_b_list(seed: Seed) -> list[list[int]]:
-    order = seed.unfrozen_order
-    return [[seed.b[i][j] for j in order] for i in order]
-
-
-def _path_tables(path: MutationPath):
-    """Per-step data on unfrozen positions: ('flip', kp, B) or ('perm', pos)."""
-    steps = []
-    for seed, step in zip(seeds_along(path), path.steps):
-        order = seed.unfrozen_order
-        pos = {idx: p for p, idx in enumerate(order)}
-        if isinstance(step, Flip):
-            seed.require_unfrozen(step.k)
-            steps.append(("flip", pos[step.k], _int_b_list(seed)))
-        else:
-            steps.append(("perm", tuple(pos[step.sigma[idx]] for idx in order)))
-    return steps
-
-
-def _fast_signseq(tables, w: list) -> SignSeq:
-    """Sign sequence of an integer point, plain int arithmetic."""
-    signs = []
-    for entry in tables:
-        if entry[0] == "flip":
-            _, kp, b = entry
-            wk = w[kp]
-            s = (wk > 0) - (wk < 0)
-            signs.append(s)
-            nxt = list(w)
-            nxt[kp] = -wk
-            if s:
-                for i in range(len(w)):
-                    if i != kp:
-                        c = s * b[i][kp]
-                        if c > 0:
-                            nxt[i] = w[i] + c * wk
-            w = nxt
-        else:
-            _, perm = entry
-            nxt = [0] * len(w)
-            for i, p in enumerate(perm):
-                nxt[p] = w[i]
-            w = nxt
-    return tuple(signs)
-
-
-def _apply_edge_left(m, kp, coeffs):
-    """Left-multiply the running matrix by an edge matrix, in place."""
-    krow = m[kp]
-    for i, c in enumerate(coeffs):
-        if c and i != kp:
-            row = m[i]
-            for j in range(len(row)):
-                row[j] += c * krow[j]
-    m[kp] = [-x for x in krow]
-
-
-def _apply_perm_left(m, perm):
-    out = [None] * len(m)
-    for i, p in enumerate(perm):
-        out[p] = m[i]
-    m[:] = out
+def _int_sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def enumerate_realizable_signs_with_witnesses(
@@ -240,17 +159,17 @@ def enumerate_realizable_signs_with_witnesses(
     """
     n = path.initial.n_uf
     h = path.h
-    tables = _path_tables(path)
+    compiled = path.compiled
     if h == 0:
         return {(): tuple(Fraction(0) for _ in range(n))}
 
     rng = random.Random(rng_seed)
     if samples is None:
         samples = min(60000, 200 * (2 ** min(h, 8)))
-    prefix_witness: dict[tuple, list] = {}
+    prefix_witness: dict[tuple, tuple] = {}
     for _ in range(samples):
-        w = [rng.randint(-40, 40) for _ in range(n)]
-        seq = _fast_signseq(tables, list(w))
+        w = tuple(rng.randint(-40, 40) for _ in range(n))
+        seq = compiled.walk(w, _int_sign)[0]
         pre = []
         for e in seq:
             if e == 0:
@@ -260,20 +179,21 @@ def enumerate_realizable_signs_with_witnesses(
 
     found: dict[SignSeq, TropPoint] = {}
     budget = [max_branch if max_branch is not None else -1]
+    steps, apply_left = compiled.steps, compiled.apply_left
 
     def dfs(step_idx, nu, matrix, constraints, prefix, witness):
         if budget[0] == 0:
             raise SignstabError("branch budget exhausted (max_branch)")
         if budget[0] > 0:
             budget[0] -= 1
-        while step_idx < len(tables) and tables[step_idx][0] == "perm":
-            _apply_perm_left(matrix, tables[step_idx][1])
+        while step_idx < len(steps) and type(steps[step_idx]) is PermStep:
+            apply_left(matrix, steps[step_idx])
             step_idx += 1
         if nu == h:
             found[tuple(prefix)] = tuple(Fraction(v) for v in witness)
             return
-        _, kp, b = tables[step_idx]
-        functional = tuple(matrix[kp])
+        step = steps[step_idx]
+        functional = tuple(matrix[step.kp])
         w_side = 0
         if witness is not None:
             val = sum(f * x for f, x in zip(functional, witness))
@@ -294,9 +214,8 @@ def enumerate_realizable_signs_with_witnesses(
                 child_witness = open_cone_witness(rows, n)
                 if child_witness is None:
                     continue
-            child_matrix = [list(row) for row in matrix]
-            coeffs = [max(side * b[i][kp], 0) for i in range(n)]
-            _apply_edge_left(child_matrix, kp, coeffs)
+            child_matrix = list(matrix)
+            apply_left(child_matrix, step, side)
             dfs(step_idx + 1, nu + 1, child_matrix, rows, child_prefix,
                 child_witness)
 
@@ -321,37 +240,21 @@ def enumerate_realizable_signs(
     )
 
 
-def _sign_constraint_rows(path: MutationPath, eps: SignSeq):
+def _cone_rows(path: MutationPath, eps: SignSeq):
     """Rows eps_nu * (row k_nu of the running linear map), one per flip."""
     if len(eps) != path.h or not is_strict(eps):
         raise DimensionMismatchError("need a strict sequence of length h")
-    n = path.initial.n_uf
-    tables = _path_tables(path)
-    matrix = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows = []
-    nu = 0
-    for entry in tables:
-        if entry[0] == "perm":
-            _apply_perm_left(matrix, entry[1])
-            continue
-        _, kp, b = entry
-        rows.append(tuple(eps[nu] * f for f in matrix[kp]))
-        coeffs = [max(eps[nu] * b[i][kp], 0) for i in range(n)]
-        _apply_edge_left(matrix, kp, coeffs)
-        nu += 1
-    return rows
+    return path.compiled.branch(eps)[0]
 
 
 def sign_cone(path: MutationPath, eps: SignSeq) -> "SignCone":
     """The open cone of points whose sign sequence along the path is eps."""
-    rows = _sign_constraint_rows(path, eps)
-    return SignCone(tuple((row, ">") for row in rows))
+    return SignCone(tuple((row, ">") for row in _cone_rows(path, eps)))
 
 
 def realization_witness(path: MutationPath, eps: SignSeq):
     """A rational point whose sign sequence is exactly eps, or None."""
-    rows = _sign_constraint_rows(path, eps)
-    witness = open_cone_witness(rows, path.initial.n_uf)
+    witness = open_cone_witness(_cone_rows(path, eps), path.initial.n_uf)
     if witness is None:
         return None
     return tuple(Fraction(v) for v in witness)
@@ -593,23 +496,14 @@ def stretch_factor(
     if len(eps_stab) != path.h:
         raise DimensionMismatchError("stable sign has wrong length")
 
-    def entry(eps):
+    table, matrices = [], []
+    for eps in _strict_completions(eps_stab):
         if realization_witness(path, eps) is None:
-            return None
+            continue
         e = presentation_matrix_for_sign(path, eps)
         rho, bound = spectral_radius(e)
-        return (eps, rho, bound)
-
-    completions = list(_strict_completions(eps_stab))
-    workers = _thread_cap()
-    if workers > 1 and len(completions) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(entry, completions))
-    else:
-        rows = [entry(eps) for eps in completions]
-    table = [row for row in rows if row is not None]
+        table.append((eps, rho, bound))
+        matrices.append(e)
     if not table:
         raise NotRealizableError(
             f"no realizable strict completion of {sign_str(eps_stab)}"
@@ -619,12 +513,7 @@ def stretch_factor(
     radii_all_equal = all(abs(rho - value) <= tol for _, rho, _ in table)
     report = StretchReport(value, table, radii_all_equal)
     if candidate is not None:
-        ok = True
-        for eps, _, _ in table:
-            p = char_poly(presentation_matrix_for_sign(path, eps))
-            if p(candidate) != 0:
-                ok = False
-                break
+        ok = all(char_poly(e)(candidate) == 0 for e in matrices)
         report.exact_verified = ok and abs(float(candidate) - value) <= 1e-9
         if report.exact_verified:
             report.exact_value = candidate

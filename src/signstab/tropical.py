@@ -3,6 +3,12 @@ along mutation paths, sign sequences, and presentation matrices.
 
 A tropical point is a tuple of exact scalars indexed by the seed's unfrozen
 indices in increasing order.  Frozen coordinates do not exist here.
+
+``trop_mutate`` and ``edge_matrix`` are the one-step functions at a given
+seed.  Whole-path functions (``transport``, ``sign_of_path``,
+``presentation_matrix_for_sign``) run on the path's
+:class:`~signstab.seeds.CompiledPath`, so the seeds along a path are built
+once, not on every call.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from typing import Sequence
 from . import matrices as mx
 from .errors import DimensionMismatchError, NonStrictSignError
 from .scalars import Scalar, scalar_sign
-from .seeds import Flip, MutationPath, Seed, apply_perm, mutate_b
+from .seeds import MutationPath, Seed
+from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 TropPoint = tuple[Scalar, ...]
 SignSeq = tuple[int, ...]
@@ -68,49 +75,20 @@ def trop_mutate(seed: Seed, k: int, w: Sequence[Scalar]) -> TropPoint:
     return tuple(out)
 
 
-def _permute_point(seed: Seed, sigma: tuple[int, ...], w: TropPoint) -> TropPoint:
-    order = seed.unfrozen_order
-    pos = {idx: p for p, idx in enumerate(order)}
-    out = [None] * len(w)
-    for idx in order:
-        out[pos[sigma[idx]]] = w[pos[idx]]
-    return tuple(out)
-
-
 def transport(path: MutationPath, w: Sequence[Scalar]):
     """Carry a point along the path.
 
     Returns (final point, list of points before each step).
     """
-    seed = path.initial
-    w = check_point(seed, w)
-    intermediates = []
-    for step in path.steps:
-        intermediates.append(w)
-        if isinstance(step, Flip):
-            w = trop_mutate(seed, step.k, w)
-            seed = mutate_b(seed, step.k)
-        else:
-            w = _permute_point(seed, step.sigma, w)
-            seed = apply_perm(seed, step.sigma)
-    return w, intermediates
+    w = check_point(path.initial, w)
+    _, before, end = path.compiled.walk(w, scalar_sign)
+    return end, before
 
 
 def sign_of_path(path: MutationPath, w: Sequence[Scalar]) -> SignSeq:
     """Sign of the mutating coordinate just before each flip."""
-    seed = path.initial
-    w = check_point(seed, w)
-    signs = []
-    for step in path.steps:
-        if isinstance(step, Flip):
-            kp = seed.unfrozen_order.index(step.k)
-            signs.append(scalar_sign(w[kp]))
-            w = trop_mutate(seed, step.k, w)
-            seed = mutate_b(seed, step.k)
-        else:
-            w = _permute_point(seed, step.sigma, w)
-            seed = apply_perm(seed, step.sigma)
-    return tuple(signs)
+    w = check_point(path.initial, w)
+    return path.compiled.walk(w, scalar_sign)[0]
 
 
 def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
@@ -130,12 +108,6 @@ def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
     return mx.freeze(rows)
 
 
-def _uf_perm_matrix(seed: Seed, sigma: tuple[int, ...]) -> mx.Matrix:
-    order = seed.unfrozen_order
-    pos = {idx: p for p, idx in enumerate(order)}
-    return mx.perm_matrix(tuple(pos[sigma[idx]] for idx in order))
-
-
 def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:
     """E_gamma^eps: the product, in application order (right to left), of edge
     matrices at the recorded seeds and permutation matrices."""
@@ -148,18 +120,7 @@ def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:
             tuple(i for i, e in enumerate(eps) if e == 0),
             "presentation matrix requires a strict sign sequence",
         )
-    seed = path.initial
-    result = mx.identity(seed.n_uf)
-    nu = 0
-    for step in path.steps:
-        if isinstance(step, Flip):
-            result = mx.mat_mul(edge_matrix(seed, step.k, eps[nu]), result)
-            nu += 1
-            seed = mutate_b(seed, step.k)
-        else:
-            result = mx.mat_mul(_uf_perm_matrix(seed, step.sigma), result)
-            seed = apply_perm(seed, step.sigma)
-    return result
+    return mx.freeze(path.compiled.branch(eps)[1])
 
 
 def presentation_matrix_at_point(path: MutationPath, w: Sequence[Scalar]) -> mx.Matrix:
@@ -183,6 +144,3 @@ def normalize_point(w: TropPoint) -> TropPoint:
         return w
     return tuple(x / biggest for x in w)
 
-
-def rescale(w: Sequence[Scalar], c) -> TropPoint:
-    return tuple(c * x for x in w)

@@ -44,12 +44,6 @@ from signstab import (
     verify_eigenpair,
 )
 from signstab.matrices import int_inverse, transpose
-from signstab.stability import (
-    _apply_edge_left,
-    _apply_perm_left,
-    _fast_signseq,
-    _path_tables,
-)
 
 F = Fraction
 GOLDEN = QuadExt(F(3, 2), F(1, 2), 5)  # (3 + sqrt 5) / 2
@@ -374,19 +368,59 @@ def test_criterion_12_block_structure():
 # -- criterion 13: small-instance enumeration oracle -------------------------------
 
 
-def _branch_rows(path, eps):
-    n = path.initial.n_uf
-    tables = _path_tables(path)
+def _mutated(b, k):
+    """Matrix mutation of the full exchange matrix b at k, from the formula."""
+    n = len(b)
+    return [
+        [
+            -b[i][j] if k in (i, j)
+            else b[i][j] + max(b[i][k], 0) * max(b[k][j], 0)
+            - max(-b[i][k], 0) * max(-b[k][j], 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _flip_columns(path):
+    """Before each flip: the flip's position among the unfrozen indices and
+    the column b_ik over the unfrozen i, by mutating B in the test."""
+    order = sorted(path.initial.unfrozen)
+    b = [list(row) for row in path.initial.b]
+    cols = []
+    for step in path.steps:
+        assert isinstance(step, Flip)
+        cols.append((order.index(step.k), [b[i][step.k] for i in order]))
+        b = _mutated(b, step.k)
+    return cols
+
+
+def _oracle_signs(cols, pt):
+    """Sign sequence of an integer point by the tropical step formula
+    x'_k = -x_k, x'_i = x_i + [s*b_ik]_+ x_k with s = sgn(x_k)."""
+    x = list(pt)
+    signs = []
+    for kp, col in cols:
+        xk = x[kp]
+        s = (xk > 0) - (xk < 0)
+        signs.append(s)
+        x = [-xk if i == kp else xi + max(s * col[i], 0) * xk
+             for i, xi in enumerate(x)]
+    return tuple(signs)
+
+
+def _branch_rows(cols, eps, n):
+    """Rows eps_nu * (row k_nu of E_{nu-1} ... E_1), one per flip, with the
+    edge matrices E (E_kk = -1, E_ik = [eps*b_ik]_+) multiplied out here."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows, nu = [], 0
-    for entry in tables:
-        if entry[0] == "perm":
-            _apply_perm_left(m, entry[1])
-            continue
-        _, kp, b = entry
-        rows.append(tuple(eps[nu] * x for x in m[kp]))
-        _apply_edge_left(m, kp, [max(eps[nu] * b[i][kp], 0) for i in range(n)])
-        nu += 1
+    rows = []
+    for (kp, col), e in zip(cols, eps):
+        rows.append(tuple(e * x for x in m[kp]))
+        m = [
+            [-m[kp][j] if i == kp else m[i][j] + max(e * col[i], 0) * m[kp][j]
+             for j in range(n)]
+            for i in range(n)
+        ]
     return rows
 
 
@@ -414,17 +448,17 @@ def _oracle_enumerate(path, grid_range=3):
     from definitional sign evaluation, never from the production
     feasibility machinery."""
     n = path.initial.n_uf
-    tables = _path_tables(path)
+    cols = _flip_columns(path)
     found = set()
     for pt in itertools.product(range(-grid_range, grid_range + 1), repeat=n):
         if any(pt):
-            s = _fast_signseq(tables, list(pt))
+            s = _oracle_signs(cols, pt)
             if 0 not in s:
                 found.add(s)
     for eps in itertools.product((1, -1), repeat=path.h):
         if eps in found:
             continue
-        rows = _branch_rows(path, eps)
+        rows = _branch_rows(cols, eps, n)
         pool = [(row, 1) for row in rows]
         for j in range(n):
             axis = tuple(int(i == j) for i in range(n))
@@ -436,7 +470,7 @@ def _oracle_enumerate(path, grid_range=3):
                 continue
             den = lcm(*(v.denominator for v in x))
             pt = [int(v * den) for v in x]
-            if _fast_signseq(tables, pt) == eps:
+            if _oracle_signs(cols, pt) == eps:
                 found.add(eps)
                 break
     return found

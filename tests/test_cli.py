@@ -110,6 +110,22 @@ def test_flip_index_checked_on_load(capsys, tmp_path, command):
     assert "step 3" in doc["message"]
 
 
+@pytest.mark.parametrize("command", ["sign", "orbit", "signs-enumerate"])
+def test_perm_length_checked_on_load(capsys, tmp_path, command):
+    path = json.load(open(f"{DATA}/a2_path.json"))
+    path["steps"].append({"perm": [0]})
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps(path))
+    argv = ["--json-only", command, "--path", str(path_file)]
+    if command in ("sign", "orbit"):
+        argv += ["--point", "[1,2]"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "SplitViolationError"
+    assert "step 3" in doc["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

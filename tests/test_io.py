@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from signstab import FormatError, QuadExt
+from signstab import FormatError, QuadExt, SplitViolationError
 from signstab import io as sio
 
 
@@ -26,6 +26,11 @@ def test_seed_validation(tmp_path):
     f.write_text("not json")
     with pytest.raises(FormatError):
         sio.load_seed(f)
+    for bad in ({"n": 2, "unfrozen": [True, 0], "B": [[0, 1], [-1, 0]]},
+                {"n": 2, "unfrozen": ["a"], "B": [[0, 1], [-1, 0]]},
+                {"n": True, "unfrozen": [0], "B": [[0]]}):
+        with pytest.raises(FormatError, match="must be integers"):
+            sio.seed_from_obj(bad)
 
 
 def test_point_parsing():
@@ -66,6 +71,33 @@ def test_path_step_validation(tmp_path):
     }))
     with pytest.raises(FormatError):
         sio.load_path(f)
+
+
+A2_SEED = {"n": 2, "unfrozen": [0, 1], "B": [[0, 1], [-1, 0]]}
+
+
+def test_bool_flip_index_rejected():
+    # JSON true loads as a bool, which is an int equal to 1
+    with pytest.raises(FormatError, match="step 1 flip index"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"flip": 0}, {"flip": True}]})
+
+
+def test_bool_perm_entries_rejected():
+    # [true, 0] sorts to [0, 1] and would pass as the swap
+    with pytest.raises(FormatError, match="step 0 perm"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": [True, 0]}]})
+    with pytest.raises(FormatError, match="step 0 perm"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": [1.0, 0]}]})
+
+
+def test_perm_checked_against_seed_on_load():
+    with pytest.raises(SplitViolationError, match="step 1: permutation length"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"flip": 0}, {"perm": [0]}]})
+    frozen = {"n": 3, "unfrozen": [0, 1], "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}
+    with pytest.raises(SplitViolationError, match="step 0: permutation maps"):
+        sio.path_from_obj({"seed": frozen, "steps": [{"perm": [2, 1, 0]}]})
+    path = sio.path_from_obj({"seed": frozen, "steps": [{"perm": [1, 0, 2]}]})
+    assert path.steps[0].sigma == (1, 0, 2)
 
 
 def test_report_determinism():
