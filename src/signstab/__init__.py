@@ -19,7 +19,6 @@ from .scalars import (
     QuadExt,
     Rational,
     Scalar,
-    as_quadext,
     format_scalar,
     parse_scalar,
     pos_part,

@@ -16,8 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as sio
-from .errors import SignstabError
-from .matrices import freeze as mfreeze
+from .errors import FormatError, SignstabError
 from .matrices import int_inverse, transpose
 from .reduction import (
     edge_compatibility,
@@ -39,7 +38,8 @@ from .stability import (
     char_poly,
     enumerate_realizable_signs_with_witnesses,
     iterate_orbit,
-    spectral_radius,
+    root_radius,
+    spectral_radius,  # noqa: F401  (bound here for perfbench's tracing spans)
     stretch_factor,
     verify_eigenpair,
 )
@@ -63,7 +63,10 @@ from .tropical import (
 def _inline_or_file(text: str):
     text = text.strip()
     if text.startswith("[") or text.startswith("{"):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"inline JSON is not valid: {exc}") from exc
     return sio._load_json(Path(text))
 
 
@@ -72,10 +75,22 @@ def _point_arg(text: str):
 
 
 def _matrix_arg(text: str):
-    obj = _inline_or_file(text)
-    if isinstance(obj, dict):
-        obj = obj.get("matrix", obj.get("B"))
-    return mfreeze(obj)
+    return sio.matrix_from_obj(_inline_or_file(text), where="--matrix")
+
+
+def _int_matrix_arg(text: str):
+    m = _matrix_arg(text)
+    if not all(isinstance(x, Fraction) and x.denominator == 1
+               for row in m for x in row):
+        raise FormatError("--matrix: entries must be integers")
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
+def _rational_arg(text: str, flag: str) -> Fraction:
+    value = parse_scalar(text)
+    if not isinstance(value, Fraction):
+        raise FormatError(f"{flag} must be rational, got {text!r}")
+    return value
 
 
 def _emit(args, command: str, inputs: dict, result: dict, summary: str) -> int:
@@ -246,7 +261,7 @@ def cmd_presentation(args) -> int:
 
 def cmd_charpoly(args) -> int:
     if args.matrix:
-        m = _matrix_arg(args.matrix)
+        m = _int_matrix_arg(args.matrix)
         inputs = {"matrix": _matrix_json(m)}
     elif not (args.path and args.sign):
         print("charpoly: need --matrix or both --path and --sign",
@@ -258,7 +273,7 @@ def cmd_charpoly(args) -> int:
         m = presentation_matrix_for_sign(path, eps)
         inputs = {"path": sio.path_to_obj(path), "sign": sign_str(eps)}
     p = char_poly(m)
-    rho, bound = spectral_radius(m)
+    rho, bound = root_radius(p)
     return _emit(
         args,
         "charpoly",
@@ -318,7 +333,8 @@ def cmd_eigencheck(args) -> int:
     return _emit(
         args,
         "eigencheck",
-        {"matrix": _matrix_json(m), "eigenvalue": format_scalar(lam),
+        {"matrix": [_point_json(row) for row in m],
+         "eigenvalue": format_scalar(lam),
          "vector": _point_json(x)},
         {"verified": ok},
         f"eigenpair {'verified' if ok else 'REJECTED'}",
@@ -393,6 +409,10 @@ def cmd_freeze(args) -> int:
 
 
 def cmd_duality_check(args) -> int:
+    if args.rank < 2 or args.max_entry < 0 or args.length < 0:
+        raise SignstabError(
+            "duality-check needs --rank >= 2, --max-entry >= 0, --length >= 0"
+        )
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):
@@ -439,7 +459,10 @@ def _random_path(rng: random.Random, seed: Seed, max_len: int) -> MutationPath:
 
 
 def cmd_pants(args) -> int:
-    m = pants_measures(Fraction(args.m1), Fraction(args.m2), Fraction(args.m3))
+    m1 = _rational_arg(args.m1, "--m1")
+    m2 = _rational_arg(args.m2, "--m2")
+    m3 = _rational_arg(args.m3, "--m3")
+    m = pants_measures(m1, m2, m3)
     sums = pants_boundary_sums(m)
     names = ("e11", "e12", "e13", "e22", "e23", "e33")
     return _emit(
@@ -449,14 +472,15 @@ def cmd_pants(args) -> int:
         {
             "measures": {k: sio.coord_json(v) for k, v in zip(names, m)},
             "boundary_sums": [sio.coord_json(s) for s in sums],
-            "triangle_regime": in_triangle_regime(args.m1, args.m2, args.m3),
+            "triangle_regime": in_triangle_regime(m1, m2, m3),
         },
         f"pants measures {[str(x) for x in m]}",
     )
 
 
 def cmd_annulus(args) -> int:
-    family, e1, e2 = annulus_solve(Fraction(args.m), Fraction(args.t))
+    family, e1, e2 = annulus_solve(_rational_arg(args.m, "--m"),
+                                   _rational_arg(args.t, "--t"))
     return _emit(
         args,
         "annulus",

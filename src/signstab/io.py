@@ -1,5 +1,5 @@
-"""JSON file formats for seeds, paths, points, cones, triangulations and
-train tracks, plus the deterministic report writer.
+"""JSON file formats for seeds, paths, points, matrices, cones,
+triangulations and train tracks, plus the deterministic report writer.
 
 All scalar values use the exact text encoding of :mod:`signstab.scalars`;
 float literals are rejected.
@@ -166,8 +166,16 @@ def point_to_obj(w) -> dict:
     return {"coords": [coord_json(x) for x in w]}
 
 
-def load_point(path) -> tuple[Scalar, ...]:
-    return point_from_obj(_load_json(path), where=str(path))
+def matrix_from_obj(obj, where="matrix") -> tuple[tuple[Scalar, ...], ...]:
+    """A square matrix: a list of rows, or an object with a "matrix" or "B"
+    key holding one."""
+    if isinstance(obj, dict):
+        obj = obj.get("matrix", obj.get("B"))
+    if not isinstance(obj, list) or not all(
+        isinstance(row, list) and len(row) == len(obj) for row in obj
+    ):
+        raise FormatError(f"{where}: expected a square matrix (a list of rows)")
+    return tuple(tuple(parse_coord(x) for x in row) for row in obj)
 
 
 def cone_from_obj(obj, where="cone") -> Cone:

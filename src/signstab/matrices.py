@@ -109,28 +109,23 @@ def int_inverse(m: Matrix) -> Matrix:
 def charpoly(m: Matrix) -> tuple[int, ...]:
     """Coefficients of det(nu*I - M), ascending degree, exact integers.
 
-    Faddeev-LeVerrier: M_1 = M, c_{n-1} = -tr(M_1),
-    M_{k+1} = M (M_k + c_{n-k} I), c_{n-k-1} = -tr(M_{k+1})/(k+1).
+    Faddeev-LeVerrier over the integers: M_1 = M, c_{n-1} = -tr(M_1),
+    M_{k+1} = M (M_k + c_{n-k} I), c_{n-k-1} = -tr(M_{k+1})/(k+1).  For an
+    integer M every c is an integer coefficient, so every M_k stays
+    integral and each division is exact.
     """
     n = len(m)
-    if n == 0:
-        return (1,)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = freeze([[Fraction(x) for x in row] for row in m])
-    mf = mk
+    coeffs = [0] * n + [1]
+    mk = m
     for k in range(1, n + 1):
-        c = -sum(mk[i][i] for i in range(n)) / k
+        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ValueError("non-integer characteristic coefficient")
         coeffs[n - k] = c
         if k < n:
             shifted = tuple(
-                tuple(mk[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
+                tuple(x + c if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(mk)
             )
-            mk = mat_mul(mf, shifted)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError("non-integer characteristic coefficient")
-        out.append(c.numerator)
-    return tuple(out)
+            mk = mat_mul(m, shifted)
+    return tuple(coeffs)

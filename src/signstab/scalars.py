@@ -208,19 +208,6 @@ def pos_part(s: Scalar) -> Scalar:
     return Fraction(0) if not isinstance(s, QuadExt) else QuadExt(0, 0, s.d)
 
 
-def scalar_abs(s: Scalar) -> Scalar:
-    return -s if scalar_sign(s) < 0 else s
-
-
-def as_quadext(s: Scalar, d: int) -> QuadExt:
-    """Promote a rational into Q(sqrt(d)); pass QuadExt through (same d)."""
-    if isinstance(s, QuadExt):
-        if s.d != d:
-            raise RadicandMismatchError(f"value over sqrt({s.d}), wanted sqrt({d})")
-        return s
-    return QuadExt(Fraction(s), Fraction(0), d)
-
-
 def quad_sqrt(n: int | Fraction) -> Scalar:
     """Exact sqrt(n) for rational n >= 0, as Fraction or QuadExt."""
     n = Fraction(n)
@@ -230,18 +217,6 @@ def quad_sqrt(n: int | Fraction) -> Scalar:
     if d == 1:
         return Fraction(s, n.denominator)
     return QuadExt(0, Fraction(s, n.denominator), d)
-
-
-def common_radicand(values) -> int | None:
-    """Radicand shared by the QuadExt entries, or None if all rational."""
-    d = None
-    for v in values:
-        if isinstance(v, QuadExt):
-            if d is None:
-                d = v.d
-            elif v.d != d:
-                raise RadicandMismatchError(f"mixed radicands {d} and {v.d}")
-    return d
 
 
 # -- text encoding ----------------------------------------------------------

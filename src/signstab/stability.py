@@ -8,9 +8,11 @@ samples of the enumeration walk integer points with plain ``int`` signs,
 and the sign tree, sign cones and stretch-factor table left-multiply the
 running presentation product one compiled step at a time.
 
-Floats appear only inside spectral-radius estimation and are never used
-for sign decisions; exactness claims are routed through verify_eigenpair
-or polynomial evaluation in Q(sqrt(d)).
+Every spectral radius is read off the exact integer characteristic
+polynomial in one pass: its repeated roots are removed exactly, and
+floats enter only when numpy finds the roots of the square-free part.
+Floats are never used for sign decisions; exactness claims are routed
+through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 """
 
 from __future__ import annotations
@@ -383,81 +385,64 @@ def cyclotomic_like_product(cycle_lengths: Sequence[int]) -> IntPoly:
 # -- spectral radius ----------------------------------------------------------
 
 
-def spectral_radius(m: mx.Matrix, max_squarings: int = 40) -> tuple[float, float]:
-    """Estimate rho(M) by normalized repeated squaring.
+def _pseudo_rem(a: tuple, b: tuple) -> list:
+    """Remainder of lc(b)^e * a on division by b, e = deg a - deg b + 1."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [lb * x for x in r]
+        for j, c in enumerate(b):
+            r[shift + j] -= lr * c
+        r.pop()
+    return r
 
-    Returns (estimate, reported bound): rho ~ ||M^(2^k)||^(1/2^k) with the
-    norm renormalized before every squaring.  When the normalized square
-    keeps collapsing (defective top eigenvalue, e.g. a unipotent block),
-    float64 roundoff puts a floor under the decay, so the squaring is
-    redone in high-precision arithmetic before reporting.
+
+def _primitive(coeffs) -> tuple[int, ...]:
+    """Coefficients divided by their content, leading coefficient positive."""
+    c = IntPoly(tuple(coeffs)).coeffs
+    g = math.gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return tuple(x // g for x in c) if g else c
+
+
+def _squarefree_part(p: IntPoly) -> IntPoly:
+    """p / gcd(p, p') for monic p: each distinct root of p once.
+
+    The gcd comes from the primitive pseudo-remainder sequence.  By Gauss's
+    lemma a primitive factor of a monic integer polynomial is monic up to
+    sign, so the gcd divides p exactly over the integers.
     """
-    n = len(m)
-    if n == 0:
-        return 0.0, 0.0
-    est, delta, collapsed = _squaring_pass_float(m, max_squarings)
+    a = p.coeffs
+    b = tuple(i * c for i, c in enumerate(a))[1:]
+    while any(b):
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return IntPoly(_primitive(a)).divides_into(p)
+
+
+def root_radius(p: IntPoly) -> tuple[float, float]:
+    """Largest root modulus of the monic integer polynomial p.
+
+    Returns (estimate, reported bound).  Repeated roots are removed exactly
+    first, so numpy.roots sees only simple roots.  At the top root z of the
+    square-free part q, some root of q lies within deg(q) * |q(z)/q'(z)|
+    of z; the bound is that distance plus a relative floor for float64
+    rounding.  A polynomial whose only root is 0 gives (0.0, 0.0).
+    """
+    q = _squarefree_part(p)
+    z = max(np.roots(q.coeffs[::-1]), key=abs, default=0.0)
+    est = float(abs(z))
     if est == 0.0:
         return 0.0, 0.0
-    if collapsed:
-        est, delta = _squaring_pass_mp(m, max_squarings)
-    bound = 2.0 * min(delta, 1.0) + 1e-11 * max(1.0, abs(est))
-    return est, bound
+    desc = np.array(q.coeffs[::-1], dtype=float)
+    step = abs(np.polyval(desc, z) / np.polyval(np.polyder(desc), z))
+    return est, q.degree * float(step) + 1e-11 * max(1.0, est)
 
 
-def _squaring_pass_float(m, max_squarings):
-    a = np.array(m, dtype=float)
-    log_scale = 0.0
-    prev = None
-    est = 0.0
-    last_delta = math.inf
-    norm_now = 1.0
-    for k in range(1, max_squarings + 1):
-        s = float(np.linalg.norm(a))
-        if s == 0.0:
-            return 0.0, 0.0, False
-        a = a / s
-        log_scale = 2.0 * (log_scale + math.log(s))
-        a = a @ a
-        norm_now = float(np.linalg.norm(a))
-        if norm_now == 0.0:
-            return 0.0, 0.0, False
-        est = math.exp((log_scale + math.log(norm_now)) / 2.0 ** k)
-        if prev is not None:
-            last_delta = abs(est - prev)
-            if last_delta < 1e-14 * max(1.0, abs(est)):
-                break
-        prev = est
-    return est, last_delta, norm_now < 1e-3
-
-
-def _squaring_pass_mp(m, max_squarings):
-    from mpmath import mp
-
-    with mp.workdps(60):
-        a = [[mp.mpf(x) for x in row] for row in m]
-        n = len(a)
-        log_scale = mp.mpf(0)
-        prev = None
-        est = mp.mpf(0)
-        last_delta = mp.inf
-        for k in range(1, max_squarings + 1):
-            s = mp.sqrt(sum(x * x for row in a for x in row))
-            if s == 0:
-                return 0.0, 0.0
-            a = [[x / s for x in row] for row in a]
-            log_scale = 2 * (log_scale + mp.log(s))
-            a = [
-                [sum(a[i][t] * a[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            norm_now = mp.sqrt(sum(x * x for row in a for x in row))
-            if norm_now == 0:
-                return 0.0, 0.0
-            est = mp.e ** ((log_scale + mp.log(norm_now)) / mp.mpf(2) ** k)
-            if prev is not None:
-                last_delta = abs(est - prev)
-            prev = est
-        return float(est), float(last_delta)
+def spectral_radius(m: mx.Matrix) -> tuple[float, float]:
+    """rho(M) as (estimate, reported bound): root_radius of char_poly(M)."""
+    return root_radius(char_poly(m))
 
 
 # -- stretch factor -----------------------------------------------------------
@@ -496,14 +481,14 @@ def stretch_factor(
     if len(eps_stab) != path.h:
         raise DimensionMismatchError("stable sign has wrong length")
 
-    table, matrices = [], []
+    table, polys = [], []
     for eps in _strict_completions(eps_stab):
         if realization_witness(path, eps) is None:
             continue
-        e = presentation_matrix_for_sign(path, eps)
-        rho, bound = spectral_radius(e)
+        p = char_poly(presentation_matrix_for_sign(path, eps))
+        rho, bound = root_radius(p)
         table.append((eps, rho, bound))
-        matrices.append(e)
+        polys.append(p)
     if not table:
         raise NotRealizableError(
             f"no realizable strict completion of {sign_str(eps_stab)}"
@@ -513,7 +498,7 @@ def stretch_factor(
     radii_all_equal = all(abs(rho - value) <= tol for _, rho, _ in table)
     report = StretchReport(value, table, radii_all_equal)
     if candidate is not None:
-        ok = all(char_poly(e)(candidate) == 0 for e in matrices)
+        ok = all(p(candidate) == 0 for p in polys)
         report.exact_verified = ok and abs(float(candidate) - value) <= 1e-9
         if report.exact_verified:
             report.exact_value = candidate

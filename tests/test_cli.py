@@ -163,6 +163,53 @@ def test_eigencheck_command(capsys):
     assert json.loads(out)["result"]["verified"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["charpoly", "--matrix", "[[1,2],[3]]"],
+    ["charpoly", "--matrix", "[1,2]"],
+    ["charpoly", "--matrix", '{"rows": [[1]]}'],
+    ["charpoly", "--matrix", "[[0.5,1],[1,0]]"],
+    ["charpoly", "--matrix", "[[true,1],[1,0]]"],
+    ["charpoly", "--matrix", '[["1/2",1],[1,0]]'],
+    ["charpoly", "--matrix", '[["sqrt(2)",1],[1,0]]'],
+    ["eigencheck", "--matrix", "[[1,2],[3]]"],
+    ["eigencheck", "--matrix", "[[0.5,1],[1,0]]"],
+    ["eigencheck", "--matrix", "[[true,1],[1,0]]"],
+])
+def test_matrix_checked_on_load(capsys, argv):
+    if argv[0] == "eigencheck":
+        argv = argv + ["--eigenvalue", "1", "--vector", "[1,0]"]
+    code, out, _ = run(capsys, "--json-only", *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "FormatError"
+
+
+def test_eigencheck_rational_matrix(capsys):
+    code, out, _ = run(
+        capsys, "--json-only", "eigencheck",
+        "--matrix", '[["1/2",1],[0,2]]', "--eigenvalue", "1/2", "--vector", "[1,0]",
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["result"]["verified"] is True
+    assert doc["inputs"]["matrix"] == [["1/2", 1], [0, 2]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pants", "--m1", "abc", "--m2", "1", "--m3", "1"],
+    ["pants", "--m1", "1", "--m2", "0.5", "--m3", "1"],
+    ["pants", "--m1", "sqrt(2)", "--m2", "1", "--m3", "1"],
+    ["annulus", "--m", "0.5", "--t", "1"],
+    ["annulus", "--m", "1", "--t", "x"],
+    ["sign", "--path", f"{DATA}/a2_path.json", "--point", "[1,"],
+    ["duality-check", "--rank", "1"],
+    ["duality-check", "--length", "-1"],
+    ["duality-check", "--max-entry", "-1"],
+])
+def test_bad_flags_give_json_errors(capsys, argv):
+    code, out, _ = run(capsys, "--json-only", *argv)
+    assert code in (1, 2)
+    assert "error" in json.loads(out)
+
+
 def test_compat_and_skeleton(capsys):
     import json as j
 

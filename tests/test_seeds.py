@@ -20,6 +20,7 @@ from signstab import (
     seeds_along,
 )
 from signstab.matrices import det, int_inverse, is_skew_symmetric, transpose
+from signstab.seeds import CompiledPath, FlipStep
 
 A2 = Seed([[0, 1], [-1, 0]], {0, 1})
 
@@ -135,25 +136,17 @@ def test_tropical_duality_random():
 
 
 def test_c_matrix_sign_coherence_violation_detected():
-    # a non-skew-symmetric input breaks sign coherence; Seed refuses to
-    # build it, so feed the recurrence a hand-made bad "seed" instead
-    class Fake:
-        b = ((0, 1), (1, 0))
-        unfrozen = frozenset({0, 1})
-        unfrozen_order = (0, 1)
-        n = 2
-        n_uf = 2
-
-        def require_unfrozen(self, k):
-            pass
-
-    from signstab.seeds import _cg_matrices
-
-    bad = MutationPath.__new__(MutationPath)
-    object.__setattr__(bad, "initial", Fake())
-    object.__setattr__(bad, "steps", (Flip(0), Flip(0), Flip(0)))
-    with pytest.raises((SignCoherenceError, ValueError)):
-        _cg_matrices(bad)
+    # No skew-symmetric seed gives these steps: the first flip adds nothing
+    # to column 1, the second adds column 1 to column 0, which leaves
+    # column 0 = (-1, 1) mixed in sign when the third flip reads it.
+    path = MutationPath(Seed([[0, 0], [0, 0]], {0, 1}),
+                        (Flip(0), Flip(1), Flip(0)))
+    steps = (FlipStep(0, ((), (), ())),
+             FlipStep(1, ((), (), ((0, 1),))),
+             FlipStep(0, ((), (), ())))
+    vars(path)["compiled"] = CompiledPath(2, steps, path.initial)
+    with pytest.raises(SignCoherenceError, match="not sign-coherent"):
+        c_matrix(path)
 
 
 def test_permutation_steps_in_cg():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -228,6 +229,73 @@ def test_spectral_radius_companion_of_printed_factors():
     # companion matrix of nu^2 - 3nu + 1
     rho, _ = spectral_radius(((0, -1), (1, 3)))
     assert abs(rho - (3 + 5 ** 0.5) / 2) <= 1e-9
+
+
+def _conjugated_block_triangular(rng):
+    """M = U T U^-1, its spectral radius and its characteristic polynomial.
+
+    T is block upper-triangular with diagonal blocks [a] and [[a, -b], [b, a]]
+    drawn from a small set, so eigenvalues repeat.  A block that repeats the
+    one before it is coupled to it by a nonzero entry above the diagonal,
+    which makes the matrix defective.  U is a product of integer elementary
+    matrices.  Returns (M, radius, ascending coefficients, defective).
+    """
+    size = rng.randint(1, 7)
+    blocks = []
+    while sum(len(b) for b in blocks) < size:
+        if blocks and rng.random() < 0.4:
+            blocks.append(blocks[-1])
+        elif rng.random() < 0.5:
+            blocks.append((rng.randint(-3, 3),))
+        else:
+            blocks.append((rng.randint(-2, 2), rng.randint(1, 2)))
+    n = sum(len(b) for b in blocks)
+    t = [[0] * n for _ in range(n)]
+    radius, poly, start, defective = 0.0, [1], 0, False
+    for idx, block in enumerate(blocks):
+        a = block[0]
+        if len(block) == 1:
+            t[start][start] = a
+            radius, factor = max(radius, abs(a)), [-a, 1]
+        else:
+            b = block[1]
+            t[start][start] = t[start + 1][start + 1] = a
+            t[start][start + 1], t[start + 1][start] = -b, b
+            radius = max(radius, math.hypot(a, b))
+            factor = [a * a + b * b, -2 * a, 1]
+        if idx and blocks[idx - 1] == block:
+            t[start - 1][start] = rng.choice((-2, -1, 1, 2))
+            defective = True
+        poly = [sum(poly[i] * factor[k - i] for i in range(len(poly))
+                    if 0 <= k - i < len(factor))
+                for k in range(len(poly) + len(factor) - 1)]
+        start += len(block)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if t[i][j] == 0 and rng.random() < 0.3:
+                t[i][j] = rng.randint(-2, 2)
+    m = t
+    for _ in range(rng.randint(n, 3 * n) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # conjugate by I + c*e_ij: add c * row j to row i, then subtract
+        # c * column i from column j
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return tuple(map(tuple, m)), radius, tuple(poly), defective
+
+
+def test_spectral_radius_against_conjugated_block_triangular():
+    rng = random.Random(2024)
+    defective = 0
+    for _ in range(300):
+        m, expected, poly, is_defective = _conjugated_block_triangular(rng)
+        defective += is_defective
+        assert char_poly(m).coeffs == poly
+        rho, _ = spectral_radius(m)
+        assert abs(rho - expected) <= 1e-12 * max(1.0, expected), (m, rho)
+    assert defective >= 50
 
 
 # -- stretch factors ---------------------------------------------------------------
