@@ -14,6 +14,7 @@ from .errors import (
     SignCoherenceError,
     SignstabError,
     SplitViolationError,
+    UsageError,
 )
 from .scalars import (
     QuadExt,

@@ -4,6 +4,7 @@ Every subcommand reads the declared JSON formats, runs the engine, and
 emits a deterministic JSON report on stdout (schema_version, command,
 resolved inputs, result).  A one-line human summary goes to stderr unless
 --json-only is given.  Exit codes: 0 success, 1 domain error, 2 usage.
+Errors of both kinds are JSON reports on stdout too.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as sio
-from .errors import FormatError, SignstabError
+from .errors import FormatError, SignstabError, UsageError
 from .matrices import int_inverse, transpose
 from .reduction import (
-    edge_compatibility,
     freeze,
+    generator_coordinate_trace,
     hereditary_check,
     reduced_subsequence,
+    trace_compatibility,
+    trace_sign_caveat,
 )
 from .scalars import format_scalar, parse_scalar
 from .seeds import (
@@ -117,19 +120,25 @@ def _point_json(w):
 def cmd_mutate(args) -> int:
     seed = sio.load_seed(args.seed)
     out = seed
-    for k in _int_list(args.k):
+    ks = _int_list(args.k, "--k")
+    for k in ks:
         out = mutate_b(out, k)
     return _emit(
         args,
         "mutate",
-        {"seed": sio.seed_to_obj(seed), "k": _int_list(args.k)},
+        {"seed": sio.seed_to_obj(seed), "k": ks},
         {"seed": sio.seed_to_obj(out)},
         f"mutated at {args.k}",
     )
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in str(text).replace(",", " ").split()]
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(t) for t in str(text).replace(",", " ").split()]
+    except ValueError:
+        raise FormatError(
+            f"{flag} must be a comma list of integers, got {text!r}"
+        ) from None
 
 
 def cmd_transport(args) -> int:
@@ -161,20 +170,16 @@ def cmd_sign(args) -> int:
     )
 
 
-def _check_orbit_flags(args) -> bool:
+def _check_orbit_flags(args):
     if args.iters < 1 or (
         args.window is not None
         and not 2 <= args.window <= args.iters
     ):
-        print("orbit flags need iters >= 1 and 2 <= window <= iters",
-              file=sys.stderr)
-        return False
-    return True
+        raise UsageError("orbit flags need iters >= 1 and 2 <= window <= iters")
 
 
 def cmd_orbit(args) -> int:
-    if not _check_orbit_flags(args):
-        return 2
+    _check_orbit_flags(args)
     path = sio.load_path(args.path)
     w = _point_arg(args.point)
     report = iterate_orbit(path, w, args.iters, window=args.window)
@@ -202,8 +207,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_stable_sign(args) -> int:
-    if not _check_orbit_flags(args):
-        return 2
+    _check_orbit_flags(args)
     path = sio.load_path(args.path)
     w = _point_arg(args.point)
     report = iterate_orbit(path, w, args.iters, window=args.window)
@@ -227,19 +231,18 @@ def cmd_stable_sign(args) -> int:
 def cmd_signs_enumerate(args) -> int:
     path = sio.load_path(args.path)
     found = enumerate_realizable_signs_with_witnesses(
-        path, rng_seed=args.seed, samples=args.samples, max_branch=args.max_branch
+        path, max_branch=args.max_branch
     )
     signs = sorted(found)
     result = {
         "count": len(signs),
         "signs": [sign_str(s) for s in signs],
         "witnesses": {sign_str(s): _point_json(found[s]) for s in signs},
-        "rng_seed": args.seed,
     }
     return _emit(
         args,
         "signs-enumerate",
-        {"path": sio.path_to_obj(path), "rng_seed": args.seed},
+        {"path": sio.path_to_obj(path)},
         result,
         f"{len(signs)} realizable strict sign sequences",
     )
@@ -264,9 +267,7 @@ def cmd_charpoly(args) -> int:
         m = _int_matrix_arg(args.matrix)
         inputs = {"matrix": _matrix_json(m)}
     elif not (args.path and args.sign):
-        print("charpoly: need --matrix or both --path and --sign",
-              file=sys.stderr)
-        return 2
+        raise UsageError("charpoly: need --matrix or both --path and --sign")
     else:
         path = sio.load_path(args.path)
         eps = parse_sign_str(args.sign)
@@ -342,20 +343,18 @@ def cmd_eigencheck(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    from .reduction import cone_sign_caveat, generator_coordinate_trace
-
     path = sio.load_path(args.path)
     cone = sio.load_cone(args.cone)
-    compat = edge_compatibility(path, cone)
+    trace = generator_coordinate_trace(path, cone)
+    compat = trace_compatibility(trace)
     result = {
         "compatible": compat,
         "bitmask": "".join("1" if c else "0" for c in compat),
-        "mixed_sign_caveat": cone_sign_caveat(path, cone),
+        "mixed_sign_caveat": trace_sign_caveat(trace),
     }
     if args.trace:
         result["generator_coordinates"] = [
-            [sio.coord_json(v) for v in row]
-            for row in generator_coordinate_trace(path, cone)
+            [sio.coord_json(v) for v in row] for row in trace
         ]
     return _emit(
         args,
@@ -398,11 +397,12 @@ def cmd_skeleton(args) -> int:
 
 def cmd_freeze(args) -> int:
     seed = sio.load_seed(args.seed)
-    out = freeze(seed, _int_list(args.freeze))
+    frozen_out = _int_list(args.freeze, "--freeze")
+    out = freeze(seed, frozen_out)
     return _emit(
         args,
         "freeze",
-        {"seed": sio.seed_to_obj(seed), "freeze": _int_list(args.freeze)},
+        {"seed": sio.seed_to_obj(seed), "freeze": frozen_out},
         {"seed": sio.seed_to_obj(out)},
         f"froze {args.freeze}",
     )
@@ -493,7 +493,10 @@ def cmd_annulus(args) -> int:
 def cmd_track_validate(args) -> int:
     track = sio.load_track(args.track)
     measure = sio.measure_from_obj(_inline_or_file(args.measure))
-    ok, bad = validate_measure(track, measure)
+    try:
+        ok, bad = validate_measure(track, measure)
+    except ValueError as exc:  # a measure on an edge the track lacks
+        raise FormatError(f"--measure: {exc}") from exc
     return _emit(
         args,
         "track-validate",
@@ -507,8 +510,26 @@ def cmd_track_validate(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _write_error(exc: SignstabError, json_only: bool) -> None:
+    error = {"error": type(exc).__name__, "message": str(exc)}
+    sys.stdout.write(json.dumps(
+        {"schema_version": sio.SCHEMA_VERSION, **error},
+        sort_keys=True, indent=2) + "\n")
+    if not json_only:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a JSON UsageError, then exits 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _write_error(UsageError(f"{self.prog}: {message}"), json_only=False)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="signstab",
         description="Exact tropical cluster X-dynamics and sign stability.",
     )
@@ -543,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("signs-enumerate", cmd_signs_enumerate)
     p.add_argument("--path", required=True)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (printed)")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for old scripts; has no effect")
     p.add_argument("--max-branch", type=int, default=None)
 
     p = add("presentation", cmd_presentation)
@@ -618,13 +639,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except SignstabError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(json.dumps(
-            {"schema_version": sio.SCHEMA_VERSION, **error},
-            sort_keys=True, indent=2) + "\n")
-        if not args.json_only:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        _write_error(exc, args.json_only)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the engine.
 
-The CLI maps these onto exit code 1 and reports the class name, so keep
-the names stable.
+The CLI maps these onto exit code 1 (``UsageError``: exit code 2) and
+reports the class name, so keep the names stable.
 """
 
 from __future__ import annotations
@@ -49,3 +49,7 @@ class NotRealizableError(SignstabError):
 
 class FormatError(SignstabError):
     """Malformed input file or scalar literal."""
+
+
+class UsageError(SignstabError):
+    """Command-line flags that do not form a valid request."""

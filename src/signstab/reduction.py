@@ -62,25 +62,32 @@ def generator_coordinate_trace(path: MutationPath, cone: Cone):
     ]
 
 
+def trace_compatibility(trace) -> list[bool]:
+    """Per flip of a generator coordinate trace: does the mutating
+    coordinate vanish on every generator."""
+    return [all(scalar_sign(x) == 0 for x in coords) for coords in trace]
+
+
+def trace_sign_caveat(trace) -> bool:
+    """True when the generators of a trace have differing sign sequences.
+
+    A generator's sign sequence along the path is the signs of its column
+    in the trace.  Compatibility is decided on generators; when their sign
+    histories disagree the cone straddles walls and per-generator
+    transport, while still exact, no longer describes one linear regime
+    for the whole cone.
+    """
+    return len({tuple(map(scalar_sign, col)) for col in zip(*trace)}) > 1
+
+
 def edge_compatibility(path: MutationPath, cone: Cone) -> list[bool]:
     """Per-flip: does the mutating coordinate vanish on every generator."""
-    return [
-        all(scalar_sign(x) == 0 for x in coords)
-        for coords in generator_coordinate_trace(path, cone)
-    ]
+    return trace_compatibility(generator_coordinate_trace(path, cone))
 
 
 def cone_sign_caveat(path: MutationPath, cone: Cone) -> bool:
-    """True when the generators have differing sign sequences.
-
-    Compatibility is decided on generators; when their sign histories
-    disagree the cone straddles walls and per-generator transport, while
-    still exact, no longer describes one linear regime for the whole cone.
-    """
-    from .tropical import sign_of_path
-
-    seqs = {sign_of_path(path, g) for g in cone.generators}
-    return len(seqs) > 1
+    """True when the generators have differing sign sequences."""
+    return trace_sign_caveat(generator_coordinate_trace(path, cone))
 
 
 @dataclass
@@ -152,6 +159,9 @@ def block_structure_check(
     permutation must preserve both J and frozen_out.  For each realizable
     strict sign the (J rows, K columns) block of E must vanish exactly and
     rho(E) must match rho(E restricted to J) within the tolerance.
+
+    rng_seed is accepted for existing callers and has no effect: the
+    realizable signs are enumerated exactly, without random sampling.
     """
     seed = path.initial
     k_set = frozenset(frozen_out)
@@ -172,7 +182,7 @@ def block_structure_check(
     details = []
     zero_ok = True
     max_diff = 0.0
-    for eps in sorted(enumerate_realizable_signs(path, rng_seed=rng_seed)):
+    for eps in sorted(enumerate_realizable_signs(path)):
         e = presentation_matrix_for_sign(path, eps)
         if any(e[p][q] != 0 for p in j_pos for q in k_pos):
             zero_ok = False

@@ -3,10 +3,14 @@ enumeration of realizable sign sequences, characteristic polynomials,
 spectral radii, cluster stretch factors, and exact eigenpair checks.
 
 Every walk along a path runs on its :class:`~signstab.seeds.CompiledPath`:
-an orbit lap is ``CompiledPath.walk`` on exact scalars, the random
-samples of the enumeration walk integer points with plain ``int`` signs,
-and the sign tree, sign cones and stretch-factor table left-multiply the
-running presentation product one compiled step at a time.
+an orbit lap is ``CompiledPath.walk`` on exact scalars, and the sign
+tree, sign cones and stretch-factor table left-multiply the running
+presentation product one compiled step at a time.
+
+Realizable sign sequences come from one exact search over the sign tree:
+every node's witness is inherited from its parent or solved for by the
+certified feasibility backend, never sampled, so enumeration depends on
+no random seed.
 
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
@@ -18,7 +22,6 @@ through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -141,43 +144,23 @@ def sign_geq(a: SignSeq, b: SignSeq) -> bool:
 # -- realizable sign sequences ------------------------------------------------
 
 
-def _int_sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def enumerate_realizable_signs_with_witnesses(
     path: MutationPath,
-    rng_seed: int = 0,
-    samples: Optional[int] = None,
     max_branch: Optional[int] = None,
 ) -> dict[SignSeq, TropPoint]:
     """All realizable strict sign sequences, each with a rational witness.
 
     Branch-and-prune on the sign tree: each branch carries the running
-    linear map; a flip splits on the sign of the mutating functional and
-    branches whose open cone is empty are pruned exactly.  Random integer
-    points seed the tree with witnesses first, so the exact feasibility
-    oracle only runs at the undiscovered fringe.
+    linear map and a witness of its open cone, starting from ``e_0`` at
+    the root.  A flip splits on the sign of the mutating functional; the
+    child on the witness's side inherits it, and the other child gets one
+    from the exact feasibility oracle or is pruned as empty.
     """
     n = path.initial.n_uf
     h = path.h
     compiled = path.compiled
     if h == 0:
         return {(): tuple(Fraction(0) for _ in range(n))}
-
-    rng = random.Random(rng_seed)
-    if samples is None:
-        samples = min(60000, 200 * (2 ** min(h, 8)))
-    prefix_witness: dict[tuple, tuple] = {}
-    for _ in range(samples):
-        w = tuple(rng.randint(-40, 40) for _ in range(n))
-        seq = compiled.walk(w, _int_sign)[0]
-        pre = []
-        for e in seq:
-            if e == 0:
-                break
-            pre.append(e)
-            prefix_witness.setdefault(tuple(pre), w)
 
     found: dict[SignSeq, TropPoint] = {}
     budget = [max_branch if max_branch is not None else -1]
@@ -196,49 +179,31 @@ def enumerate_realizable_signs_with_witnesses(
             return
         step = steps[step_idx]
         functional = tuple(matrix[step.kp])
-        w_side = 0
-        if witness is not None:
-            val = sum(f * x for f, x in zip(functional, witness))
-            w_side = (val > 0) - (val < 0)
+        val = sum(f * x for f, x in zip(functional, witness))
+        w_side = (val > 0) - (val < 0)
         for side in (1, -1):
-            child_prefix = prefix + [side]
-            child_witness = None
-            if side == w_side:
-                child_witness = witness
-            else:
-                sampled = prefix_witness.get(tuple(child_prefix))
-                if sampled is not None:
-                    child_witness = sampled
-            rows = constraints + [
-                tuple(side * f for f in functional)
-            ]
-            if child_witness is None:
+            rows = constraints + [tuple(side * f for f in functional)]
+            child_witness = witness
+            if side != w_side:
                 child_witness = open_cone_witness(rows, n)
                 if child_witness is None:
                     continue
             child_matrix = list(matrix)
             apply_left(child_matrix, step, side)
-            dfs(step_idx + 1, nu + 1, child_matrix, rows, child_prefix,
+            dfs(step_idx + 1, nu + 1, child_matrix, rows, prefix + [side],
                 child_witness)
 
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    start_witness = prefix_witness.get((), None)
-    if start_witness is None:
-        start_witness = [1] + [0] * (n - 1)
-    dfs(0, 0, identity, [], [], start_witness)
+    dfs(0, 0, identity, [], [], [1] + [0] * (n - 1))
     return found
 
 
 def enumerate_realizable_signs(
     path: MutationPath,
-    rng_seed: int = 0,
-    samples: Optional[int] = None,
     max_branch: Optional[int] = None,
 ) -> set[SignSeq]:
     return set(
-        enumerate_realizable_signs_with_witnesses(
-            path, rng_seed=rng_seed, samples=samples, max_branch=max_branch
-        )
+        enumerate_realizable_signs_with_witnesses(path, max_branch=max_branch)
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import matrices as mx
-from .errors import DimensionMismatchError, NonStrictSignError
+from .errors import DimensionMismatchError, FormatError, NonStrictSignError
 from .scalars import Scalar, scalar_sign
 from .seeds import MutationPath, Seed
 from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
@@ -37,7 +37,7 @@ def parse_sign_str(text: str) -> SignSeq:
     try:
         return tuple(_CHAR_TO_SIGN[c] for c in cleaned)
     except KeyError as exc:
-        raise ValueError(f"bad sign character in {text!r}") from exc
+        raise FormatError(f"bad sign character in {text!r}") from exc
 
 
 def is_strict(eps: SignSeq) -> bool:

@@ -273,7 +273,7 @@ def test_criterion_07_characteristic_polynomials(sphere_path, sphere_points):
 def test_criterion_08_completions_realizable(sphere_path, sphere_points):
     eps_stab = parse_sign_str(sphere_points["eps_stab"])
     start = time.time()
-    signs = enumerate_realizable_signs(sphere_path, rng_seed=0)
+    signs = enumerate_realizable_signs(sphere_path)
     elapsed = time.time() - start
     assert elapsed < 60.0
     for _, eps in _completions(eps_stab):
@@ -486,7 +486,7 @@ def test_criterion_13_enumeration_oracle():
             seed, tuple(Flip(rng.choice(sorted(seed.unfrozen)))
                         for _ in range(h))
         )
-        fast = enumerate_realizable_signs(path, rng_seed=case)
+        fast = enumerate_realizable_signs(path)
         slow = _oracle_enumerate(path)
         assert fast == slow, (seed.b, path.flip_indices())
     ok(13, f"200 random small instances: enumeration equals the "

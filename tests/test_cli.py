@@ -67,7 +67,16 @@ def test_reports_are_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["result"]["count"] == 5
-    assert doc["result"]["rng_seed"] == 0
+    # --seed is still accepted, and enumeration is exact: it changes nothing
+    _, seed0, _ = run(
+        capsys, "--json-only", "signs-enumerate",
+        "--path", f"{DATA}/a2_path.json", "--seed", "0",
+    )
+    _, seed5, _ = run(
+        capsys, "--json-only", "signs-enumerate",
+        "--path", f"{DATA}/a2_path.json", "--seed", "5",
+    )
+    assert seed0 == seed5 == out1
 
 
 def test_mutate_and_output_file(capsys, tmp_path):
@@ -203,11 +212,37 @@ def test_eigencheck_rational_matrix(capsys):
     ["duality-check", "--rank", "1"],
     ["duality-check", "--length", "-1"],
     ["duality-check", "--max-entry", "-1"],
+    ["mutate", "--seed", f"{DATA}/annulus_seed.json", "--k", "abc"],
+    ["freeze", "--seed", f"{DATA}/annulus_seed.json", "--freeze", "x"],
+    ["presentation", "--path", f"{DATA}/a2_path.json", "--sign", "+x"],
+    ["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+x"],
+    ["hereditary", "--path", f"{DATA}/sphere3b_path.json",
+     "--cone", f"{DATA}/sphere3b_cone.json", "--stable", "+x"],
+    ["orbit", "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+     "--iters", "0"],
+    ["stable-sign", "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+     "--iters", "0"],
+    ["orbit", "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+     "--iters", "4", "--window", "1"],
+    ["orbit", "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+     "--iters", "abc"],
+    ["charpoly"],
+    ["charpoly", "--path", f"{DATA}/kron3_path.json"],
+    ["track-validate", "--track", "TRACK", "--measure", '{"zz": 1}'],
+    ["signs-enumerate", "--path", f"{DATA}/a2_path.json", "--max-branch", "1"],
 ])
-def test_bad_flags_give_json_errors(capsys, argv):
-    code, out, _ = run(capsys, "--json-only", *argv)
+def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps({"edges": ["e0", "e1", "e2"],
+                                 "switches": [["e0", ["e1", "e2"]]]}))
+    argv = [str(track) if a == "TRACK" else a for a in argv]
+    try:
+        code = main(["--json-only", *argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     assert code in (1, 2)
-    assert "error" in json.loads(out)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] and doc["message"]
 
 
 def test_compat_and_skeleton(capsys):
