@@ -66,6 +66,7 @@ from .stability import (
     enumerate_realizable_signs,
     enumerate_realizable_signs_with_witnesses,
     iterate_orbit,
+    realizable_branches,
     realization_witness,
     sign_cone,
     sign_geq,

@@ -171,11 +171,8 @@ def cmd_sign(args) -> int:
 
 
 def _check_orbit_flags(args):
-    if args.iters < 1 or (
-        args.window is not None
-        and not 2 <= args.window <= args.iters
-    ):
-        raise UsageError("orbit flags need iters >= 1 and 2 <= window <= iters")
+    if args.window is not None and args.window > args.iters:
+        raise UsageError("orbit flags need window <= iters")
 
 
 def cmd_orbit(args) -> int:
@@ -409,10 +406,6 @@ def cmd_freeze(args) -> int:
 
 
 def cmd_duality_check(args) -> int:
-    if args.rank < 2 or args.max_entry < 0 or args.length < 0:
-        raise SignstabError(
-            "duality-check needs --rank >= 2, --max-entry >= 0, --length >= 0"
-        )
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):
@@ -519,6 +512,22 @@ def _write_error(exc: SignstabError, json_only: bool) -> None:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a JSON UsageError, then exits 2."""
 
@@ -559,14 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, fn)
         p.add_argument("--path", required=True)
         p.add_argument("--point", required=True)
-        p.add_argument("--iters", type=int, default=30)
-        p.add_argument("--window", type=int, default=None)
+        p.add_argument("--iters", type=_int_at_least(1), default=30)
+        p.add_argument("--window", type=_int_at_least(2), default=None)
 
     p = add("signs-enumerate", cmd_signs_enumerate)
     p.add_argument("--path", required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for old scripts; has no effect")
-    p.add_argument("--max-branch", type=int, default=None)
+    p.add_argument("--max-branch", type=_int_at_least(1), default=None)
 
     p = add("presentation", cmd_presentation)
     p.add_argument("--path", required=True)
@@ -611,10 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze", required=True, help="comma list of indices")
 
     p = add("duality-check", cmd_duality_check)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--rank", type=int, default=6)
-    p.add_argument("--max-entry", type=int, default=3)
-    p.add_argument("--length", type=int, default=12)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--rank", type=_int_at_least(2), default=6)
+    p.add_argument("--max-entry", type=_int_at_least(0), default=3)
+    p.add_argument("--length", type=_int_at_least(0), default=12)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (printed)")
 
     p = add("pants", cmd_pants)

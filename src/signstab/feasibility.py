@@ -12,16 +12,24 @@ when every row is strict) exactly one of these holds:
 One phase-1 simplex on the second (transposed) system decides which: a zero
 optimum leaves the multiplier y in the basis, a positive optimum leaves a
 witness x in the duals of the artificial columns.  The tableau has dim + 1
-rows and one column per constraint (two per equality).  Pivoting is
-fraction-free (every entry an integer over the running pivot) with Bland's
-rule, and both certificates are re-checked exactly in integers before the
-answer is returned; a failed check raises ArithmeticError.
+rows and one column per constraint (an equality is two opposite weak
+rows).  Pivoting is fraction-free (every entry an integer over the running
+pivot) with Bland's rule.
+
+The tableau grows one constraint at a time (:meth:`Tableau.extend`).  A
+new constraint is one new column; the current basis stays primal feasible,
+so the simplex goes on from where it stopped instead of starting phase 1
+again.  When the new column prices out, the basis is still optimal and
+the witness is unchanged.  Every witness is checked exactly on every row
+of its system, and every multiplier is checked exactly before a system is
+declared empty; a failed check raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def _primitive(row):
@@ -34,102 +42,146 @@ def _primitive(row):
     return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
-def _phase1(columns, norm, dim):
-    """Fraction-free phase-1 simplex for sum_j y_j columns[j] = 0,
-    sum_j norm[j] y_j = 1, y >= 0, started from dim + 1 artificials.
+class Tableau:
+    """Fraction-free phase-1 tableau of the transposed system of a list of
+    constraints, with the witness of the constraints when they are feasible.
 
-    Returns (tableau, basis, cost, piv): every entry is an integer over the
-    final pivot piv > 0, cost[j] is piv times minus the reduced cost of
-    column j and cost[-1] is piv times the optimum.
+    ``rows`` holds dim + 1 integer rows laid out as [rhs, artificial block
+    piv*B^-1 (dim + 1 columns), one column per constraint]; ``cost`` is the
+    cost row in the same layout (piv times minus the reduced costs, so
+    ``cost[0]`` is piv times the phase-1 optimum); ``basis`` names the
+    basic column of each row and ``piv`` is the last pivot.  ``cons`` lists
+    the constraints as (row, strict) pairs and ``witness`` is a primitive
+    integer point checked on every one of them.  A tableau is never changed
+    after it is built: :meth:`extend` returns a new one.
     """
-    nv = len(columns)
-    m = dim + 1
-    total = nv + m
-    tableau = []
-    for i in range(m):
-        row = [c[i] for c in columns] if i < dim else list(norm)
-        row.extend(1 if i == k else 0 for k in range(m))
-        row.append(1 if i == dim else 0)
-        tableau.append(row)
-    basis = list(range(nv, total))
-    cost = [sum(col) for col in zip(*tableau)]
-    for j in range(nv, total):
-        cost[j] -= 1
-    prev = 1
-    while True:
-        enter = next((j for j in range(total) if cost[j] > 0), None)
+
+    __slots__ = ("rows", "cost", "basis", "piv", "cons", "witness")
+
+    def __init__(self, rows, cost, basis, piv, cons, witness):
+        self.rows = rows
+        self.cost = cost
+        self.basis = basis
+        self.piv = piv
+        self.cons = cons
+        self.witness = witness
+
+    @classmethod
+    def empty(cls, dim: int) -> "Tableau":
+        """The tableau of no constraints: every artificial is basic."""
+        m = dim + 1
+        rows = [[int(i == dim)] + [int(i == k) for k in range(m)]
+                for i in range(m)]
+        return cls(rows, [1] + [0] * m, list(range(1, m + 1)), 1, (),
+                   (-1,) * dim)
+
+    def extend(self, row, strict: bool = True) -> "Tableau | None":
+        """The tableau of these constraints plus row.x > 0 (or row.x >= 0
+        when not strict), for an integer row; None when an exactly checked
+        multiplier proves the grown system empty."""
+        piv, m = self.piv, len(self.rows)
+        # (0; row; strict) against [rhs, artificial block, ...]: map stops
+        # at the end of the artificial block
+        col = (0, *row, int(strict))
+        rows = [r + [sum(map(mul, r, col))] for r in self.rows]
+        price = sum(map(mul, self.cost, col)) + piv * sum(col)
+        cost = self.cost + [price]
+        cons = self.cons + ((row, strict),)
+        if price <= 0:
+            # the basis stays optimal, so the witness is the parent's
+            _check_witness([(row, strict)], self.witness)
+            return Tableau(rows, cost, self.basis, piv, cons, self.witness)
+        basis = list(self.basis)
+        piv = _optimize(rows, cost, basis, piv, m + 1)
+        if cost[0] == 0:
+            _check_multiplier(rows, basis, piv, cons, m + 1)
+            return None
+        x = [-(c + piv) for c in cost[1:m]]
+        g = gcd(*x)
+        if g > 1:
+            x = [v // g for v in x]
+        _check_witness(cons, x)
+        return Tableau(rows, cost, basis, piv, cons, tuple(x))
+
+
+def _check_witness(cons, x):
+    for row, strict in cons:
+        d = sum(map(mul, row, x))
+        if d <= 0 if strict else d < 0:
+            raise ArithmeticError("cone witness failed exact check")
+
+
+def _optimize(rows, cost, basis, prev, first):
+    """Bland-rule simplex on the tableau in place, entering only constraint
+    columns (index >= first), until no cost entry is positive or the
+    phase-1 optimum reaches zero.  Returns the final pivot."""
+    m = len(rows)
+    while cost[0] > 0:
+        enter = next((j for j in range(first, len(cost)) if cost[j] > 0), None)
         if enter is None:
-            return tableau, basis, cost, prev
+            break
         leave = None
         for i in range(m):
-            t = tableau[i][enter]
+            t = rows[i][enter]
             if t <= 0:
                 continue
             if leave is None:
                 leave = i
                 continue
-            lhs = tableau[i][total] * tableau[leave][enter]
-            rhs = tableau[leave][total] * t
+            lhs = rows[i][0] * rows[leave][enter]
+            rhs = rows[leave][0] * t
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded below")
-        piv = tableau[leave][enter]
-        prow = tableau[leave]
+        piv = rows[leave][enter]
+        prow = rows[leave]
         for i in range(m):
             if i == leave:
                 continue
-            row = tableau[i]
-            f = row[enter]
+            r = rows[i]
+            f = r[enter]
             if f:
-                tableau[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(r, prow)]
             elif piv != prev:
-                tableau[i] = [(piv * a) // prev for a in row]
+                rows[i] = [(piv * a) // prev for a in r]
         f = cost[enter]
         if f:
-            cost = [(piv * a - f * b) // prev for a, b in zip(cost, prow)]
+            cost[:] = [(piv * a - f * b) // prev for a, b in zip(cost, prow)]
         elif piv != prev:
-            cost = [(piv * a) // prev for a in cost]
+            cost[:] = [(piv * a) // prev for a in cost]
         basis[leave] = enter
         prev = piv
+    return prev
 
 
-def _solve(strict, weak, eq, dim):
-    """Witness for {S x > 0, W x >= 0, E x = 0} on primitive integer rows,
-    or None when an exactly checked multiplier proves the system empty."""
-    if not strict:
+def _check_multiplier(rows, basis, piv, cons, first):
+    """Exact Gordan/Motzkin check of the basic multiplier of a zero optimum:
+    y >= 0, the strict entries sum to piv, and sum_j y_j row_j = 0."""
+    total = [0] * (len(rows) - 1)
+    strict_sum = 0
+    for r, b in zip(rows, basis):
+        y = r[0]
+        if b < first or not y:
+            continue
+        row, strict = cons[b - first]
+        if y < 0:
+            raise ArithmeticError("empty-cone multiplier is negative")
+        strict_sum += y if strict else 0
+        total = [t + y * c for t, c in zip(total, row)]
+    if strict_sum != piv or any(total):
+        raise ArithmeticError("empty-cone multiplier failed exact check")
+
+
+def _grow(cons, dim):
+    if not any(strict for _, strict in cons):
         return [0] * dim
-    columns = strict + weak + eq + [tuple(-x for x in r) for r in eq]
-    norm = [1] * len(strict) + [0] * (len(columns) - len(strict))
-    tableau, basis, cost, piv = _phase1(columns, norm, dim)
-    nv = len(columns)
-    if cost[-1] == 0:
-        y = [0] * nv
-        for i, b in enumerate(basis):
-            if b < nv:
-                y[b] = tableau[i][-1]
-        if (
-            min(y) < 0
-            or sum(y[: len(strict)]) != piv
-            or any(sum(yj * c[k] for yj, c in zip(y, columns)) for k in range(dim))
-        ):
-            raise ArithmeticError("empty-cone multiplier failed exact check")
-        return None
-    x = [-(cost[nv + k] + piv) for k in range(dim)]
-    g = gcd(*x)
-    if g > 1:
-        x = [v // g for v in x]
-
-    def dot(r):
-        return sum(c * v for c, v in zip(r, x))
-
-    if (
-        any(dot(r) <= 0 for r in strict)
-        or any(dot(r) < 0 for r in weak)
-        or any(dot(r) for r in eq)
-    ):
-        raise ArithmeticError("cone witness failed exact check")
-    return x
+    t = Tableau.empty(dim)
+    for row, strict in cons:
+        t = t.extend(row, strict)
+        if t is None:
+            return None
+    return list(t.witness)
 
 
 # -- public API ---------------------------------------------------------------
@@ -138,18 +190,16 @@ def _solve(strict, weak, eq, dim):
 def open_cone_witness(rows, dim):
     """An integer x with r.x > 0 for every row, or None if the open cone is
     empty.  Rows may be empty (any point works, the origin is returned)."""
-    return _solve([_primitive(r) for r in rows], [], [], dim)
+    return _grow([(_primitive(r), True) for r in rows], dim)
 
 
 def mixed_cone_witness(strict, weak, eq, dim):
     """Witness for the mixed system {s.x > 0, w.x >= 0, e.x = 0}."""
-    return _solve(
-        [_primitive(r) for r in strict],
-        [_primitive(r) for r in weak],
-        [_primitive(r) for r in eq],
+    eq = [_primitive(r) for r in eq]
+    return _grow(
+        [(_primitive(r), True) for r in strict]
+        + [(_primitive(r), False) for r in weak]
+        + [(r, False) for r in eq]
+        + [(tuple(-x for x in r), False) for r in eq],
         dim,
     )
-
-
-def verify_open(rows, x) -> bool:
-    return all(sum(Fraction(c) * xi for c, xi in zip(r, x)) > 0 for r in rows)

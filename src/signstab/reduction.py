@@ -20,16 +20,14 @@ from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this bi
 from .stability import (
     IntPoly,
     cyclotomic_like_product,
-    enumerate_realizable_signs,
+    realizable_branches,
     spectral_radius,
 )
-from .tropical import (
-    SignSeq,
-    TropPoint,
-    check_point,
+from .tropical import SignSeq, TropPoint, check_point
+from .tropical import (  # noqa: F401  (perfbench/tracing.py patches these bindings)
     presentation_matrix_for_sign,
+    trop_mutate,
 )
-from .tropical import trop_mutate  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,7 @@ def block_structure_check(
     details = []
     zero_ok = True
     max_diff = 0.0
-    for eps in sorted(enumerate_realizable_signs(path)):
-        e = presentation_matrix_for_sign(path, eps)
+    for eps, _, e in sorted(realizable_branches(path), key=lambda b: b[0]):
         if any(e[p][q] != 0 for p in j_pos for q in k_pos):
             zero_ok = False
         e_j = tuple(tuple(e[p][q] for q in j_pos) for p in j_pos)

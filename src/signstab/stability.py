@@ -7,10 +7,13 @@ an orbit lap is ``CompiledPath.walk`` on exact scalars, and the sign
 tree, sign cones and stretch-factor table left-multiply the running
 presentation product one compiled step at a time.
 
-Realizable sign sequences come from one exact search over the sign tree:
-every node's witness is inherited from its parent or solved for by the
-certified feasibility backend, never sampled, so enumeration depends on
-no random seed.
+Realizable sign sequences come from one exact search over the sign tree
+(:func:`realizable_branches`), which enumeration, the block-structure
+check and the stretch-factor table all walk.  Each node keeps the
+feasibility tableau of its open cone; a child appends its one new row to
+its parent's tableau and either inherits the parent's witness or pivots
+on from the parent's basis.  Nothing is sampled, so enumeration depends
+on no random seed.
 
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
@@ -35,7 +38,7 @@ from .errors import (
     NotRealizableError,
     SignstabError,
 )
-from .feasibility import mixed_cone_witness, open_cone_witness
+from .feasibility import Tableau, mixed_cone_witness, open_cone_witness
 from .scalars import Scalar, scalar_sign
 from .seeds import MutationPath, PermStep, Seed, is_loop
 from .tropical import (
@@ -144,58 +147,71 @@ def sign_geq(a: SignSeq, b: SignSeq) -> bool:
 # -- realizable sign sequences ------------------------------------------------
 
 
-def enumerate_realizable_signs_with_witnesses(
+def realizable_branches(
     path: MutationPath,
+    stable: Optional[SignSeq] = None,
     max_branch: Optional[int] = None,
-) -> dict[SignSeq, TropPoint]:
-    """All realizable strict sign sequences, each with a rational witness.
+):
+    """Every realizable strict sign sequence eps of the path, as
+    (eps, integer witness, presentation matrix E^eps), in sign-tree order.
 
-    Branch-and-prune on the sign tree: each branch carries the running
-    linear map and a witness of its open cone, starting from ``e_0`` at
-    the root.  A flip splits on the sign of the mutating functional; the
-    child on the witness's side inherits it, and the other child gets one
-    from the exact feasibility oracle or is pruned as empty.
+    With ``stable`` only the strict completions of it are searched: a strict
+    entry fixes that flip's side and a zero entry takes both.  Each tree
+    node carries the running product and the feasibility tableau of its
+    open cone.  A flip splits on the sign of the mutating functional; each
+    child appends that one row to its parent's tableau and keeps pivoting
+    from the parent's basis, or is pruned when its cone is certified empty.
+    ``max_branch`` bounds the number of nodes visited.
     """
-    n = path.initial.n_uf
+    if max_branch is not None and max_branch < 1:
+        raise ValueError("max_branch must be >= 1")
     h = path.h
+    if stable is not None and len(stable) != h:
+        raise DimensionMismatchError("stable sign has wrong length")
     compiled = path.compiled
-    if h == 0:
-        return {(): tuple(Fraction(0) for _ in range(n))}
-
-    found: dict[SignSeq, TropPoint] = {}
-    budget = [max_branch if max_branch is not None else -1]
     steps, apply_left = compiled.steps, compiled.apply_left
+    budget = max_branch
 
-    def dfs(step_idx, nu, matrix, constraints, prefix, witness):
-        if budget[0] == 0:
-            raise SignstabError("branch budget exhausted (max_branch)")
-        if budget[0] > 0:
-            budget[0] -= 1
+    def dfs(step_idx, nu, matrix, tableau, prefix):
+        nonlocal budget
+        if budget is not None:
+            if budget == 0:
+                raise SignstabError("branch budget exhausted (max_branch)")
+            budget -= 1
         while step_idx < len(steps) and type(steps[step_idx]) is PermStep:
             apply_left(matrix, steps[step_idx])
             step_idx += 1
         if nu == h:
-            found[tuple(prefix)] = tuple(Fraction(v) for v in witness)
+            yield tuple(prefix), tableau.witness, mx.freeze(matrix)
             return
         step = steps[step_idx]
-        functional = tuple(matrix[step.kp])
-        val = sum(f * x for f, x in zip(functional, witness))
-        w_side = (val > 0) - (val < 0)
-        for side in (1, -1):
-            rows = constraints + [tuple(side * f for f in functional)]
-            child_witness = witness
-            if side != w_side:
-                child_witness = open_cone_witness(rows, n)
-                if child_witness is None:
-                    continue
+        functional = matrix[step.kp]
+        g = math.gcd(*functional) or 1
+        sides = (1, -1) if stable is None or stable[nu] == 0 else (stable[nu],)
+        for side in sides:
+            child = tableau.extend(tuple(side * f // g for f in functional))
+            if child is None:
+                continue
             child_matrix = list(matrix)
             apply_left(child_matrix, step, side)
-            dfs(step_idx + 1, nu + 1, child_matrix, rows, prefix + [side],
-                child_witness)
+            yield from dfs(step_idx + 1, nu + 1, child_matrix, child,
+                           prefix + [side])
 
-    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    dfs(0, 0, identity, [], [], [1] + [0] * (n - 1))
-    return found
+    n = compiled.n
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return dfs(0, 0, identity, Tableau.empty(n), [])
+
+
+def enumerate_realizable_signs_with_witnesses(
+    path: MutationPath,
+    max_branch: Optional[int] = None,
+) -> dict[SignSeq, TropPoint]:
+    """All realizable strict sign sequences, each with a rational witness
+    (see :func:`realizable_branches`)."""
+    return {
+        eps: tuple(Fraction(v) for v in witness)
+        for eps, witness, _ in realizable_branches(path, max_branch=max_branch)
+    }
 
 
 def enumerate_realizable_signs(
@@ -422,15 +438,6 @@ class StretchReport:
     exact_value: Optional[Scalar] = None
 
 
-def _strict_completions(eps_stab: SignSeq):
-    zero_at = [i for i, e in enumerate(eps_stab) if e == 0]
-    for mask in range(2 ** len(zero_at)):
-        out = list(eps_stab)
-        for bit, pos in enumerate(zero_at):
-            out[pos] = 1 if (mask >> bit) & 1 else -1
-        yield tuple(out)
-
-
 def stretch_factor(
     path: MutationPath,
     eps_stab: SignSeq,
@@ -438,19 +445,21 @@ def stretch_factor(
 ) -> StretchReport:
     """lambda = max spectral radius of E_gamma^eps over realizable strict
     completions eps >= eps_stab.  When eps_stab is strict this is the
-    cluster stretch factor of the loop."""
-    from .tropical import presentation_matrix_for_sign
+    cluster stretch factor of the loop.
 
+    The table lists the completions in binary order of their entries at
+    the zeros of eps_stab, the last zero most significant and - before +.
+    """
     if not is_loop(path):
         raise LoopRequiredError("stretch factor needs a mutation loop")
-    if len(eps_stab) != path.h:
-        raise DimensionMismatchError("stable sign has wrong length")
-
+    zeros = [i for i, e in enumerate(eps_stab) if e == 0][::-1]
+    branches = sorted(
+        realizable_branches(path, stable=eps_stab),
+        key=lambda branch: [branch[0][i] for i in zeros],
+    )
     table, polys = [], []
-    for eps in _strict_completions(eps_stab):
-        if realization_witness(path, eps) is None:
-            continue
-        p = char_poly(presentation_matrix_for_sign(path, eps))
+    for eps, _, matrix in branches:
+        p = char_poly(matrix)
         rho, bound = root_radius(p)
         table.append((eps, rho, bound))
         polys.append(p)

@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from math import lcm
 
+from oracles import mutated
+
 from signstab import (
     Flip,
     IntPoly,
@@ -368,20 +370,6 @@ def test_criterion_12_block_structure():
 # -- criterion 13: small-instance enumeration oracle -------------------------------
 
 
-def _mutated(b, k):
-    """Matrix mutation of the full exchange matrix b at k, from the formula."""
-    n = len(b)
-    return [
-        [
-            -b[i][j] if k in (i, j)
-            else b[i][j] + max(b[i][k], 0) * max(b[k][j], 0)
-            - max(-b[i][k], 0) * max(-b[k][j], 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 def _flip_columns(path):
     """Before each flip: the flip's position among the unfrozen indices and
     the column b_ik over the unfrozen i, by mutating B in the test."""
@@ -391,7 +379,7 @@ def _flip_columns(path):
     for step in path.steps:
         assert isinstance(step, Flip)
         cols.append((order.index(step.k), [b[i][step.k] for i in order]))
-        b = _mutated(b, step.k)
+        b = mutated(b, step.k)
     return cols
 
 

@@ -230,6 +230,8 @@ def test_eigencheck_rational_matrix(capsys):
     ["charpoly", "--path", f"{DATA}/kron3_path.json"],
     ["track-validate", "--track", "TRACK", "--measure", '{"zz": 1}'],
     ["signs-enumerate", "--path", f"{DATA}/a2_path.json", "--max-branch", "1"],
+    ["duality-check", "--count", "-3"],
+    ["signs-enumerate", "--path", f"{DATA}/a2_path.json", "--max-branch", "-3"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     track = tmp_path / "track.json"

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
-from signstab.feasibility import (
-    mixed_cone_witness,
-    open_cone_witness,
-    verify_open,
-)
+from oracles import gordan_empty
+
+from signstab.feasibility import mixed_cone_witness, open_cone_witness
 from signstab.stability import SignCone, cone_feasible
+
+
+def verify_open(rows, x) -> bool:
+    """Exact check, in Fractions, that x lies in the open cone of rows."""
+    return all(sum(Fraction(c) * xi for c, xi in zip(r, x)) > 0 for r in rows)
 
 
 def test_contradiction_infeasible():
@@ -39,41 +41,6 @@ def random_rows(rng, dim, count):
     ]
 
 
-def _unique_solution(a, b):
-    """The unique solution of a z = b (Fraction elimination), or None when
-    the system is inconsistent or underdetermined."""
-    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(a, b)]
-    cols = len(a[0])
-    rank = 0
-    for c in range(cols):
-        p = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            return None
-        m[rank], m[p] = m[p], m[rank]
-        m[rank] = [x / m[rank][c] for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    if any(row[-1] != 0 for row in m[rank:]):
-        return None
-    return [m[i][-1] for i in range(cols)]
-
-
-def _gordan_oracle_empty(rows, dim):
-    """The open cone {x : r.x > 0} is empty iff 0 is in conv(rows) (Gordan).
-    By Caratheodory some affinely independent subset of at most dim + 1 rows
-    then has 0 in its convex hull, with unique barycentric coordinates."""
-    for size in range(1, min(len(rows), dim + 1) + 1):
-        for subset in combinations(rows, size):
-            a = [[r[k] for r in subset] for k in range(dim)] + [[1] * size]
-            lam = _unique_solution(a, [0] * dim + [1])
-            if lam is not None and all(x >= 0 for x in lam):
-                return True
-    return False
-
-
 def test_open_cone_matches_gordan_oracle():
     rng = random.Random(11)
     empties = 0
@@ -81,7 +48,7 @@ def test_open_cone_matches_gordan_oracle():
         dim = rng.randint(1, 5)
         rows = random_rows(rng, dim, rng.randint(1, 6))
         w = open_cone_witness(rows, dim)
-        expect_empty = _gordan_oracle_empty(rows, dim)
+        expect_empty = gordan_empty(rows, dim)
         assert (w is None) == expect_empty, (rows, w)
         if w is None:
             empties += 1
