@@ -98,11 +98,14 @@ def _rational_arg(text: str, flag: str) -> Fraction:
 
 def _emit(args, command: str, inputs: dict, result: dict, summary: str) -> int:
     text = sio.render_report(command, inputs, result)
+    if args.output:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"-o: cannot write {args.output}: {exc}") from exc
     if not args.json_only:
         print(summary, file=sys.stderr)
     sys.stdout.write(text)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -529,12 +532,13 @@ def _int_at_least(low: int):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a JSON UsageError, then exits 2."""
+    """Raises a bad command line as a UsageError carrying the usage line of
+    the (sub)command that rejected it; :func:`main` reports it."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        _write_error(UsageError(f"{self.prog}: {message}"), json_only=False)
-        self.exit(2)
+        exc = UsageError(f"{self.prog}: {message}")
+        exc.usage = self.format_usage()
+        raise exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -643,8 +647,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad command line is a JSON UsageError and exit 2
+    (SystemExit), under --json-only with nothing on stderr."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # parsed in place, so the flags before the subcommand (--json-only
+    # among them) are set when a subcommand's own flags are rejected
+    args = argparse.Namespace()
+    try:
+        parser.parse_args(argv, namespace=args)
+    except UsageError as exc:
+        if not args.json_only:
+            sys.stderr.write(exc.usage)
+        _write_error(exc, args.json_only)
+        parser.exit(2)
     try:
         return args.fn(args)
     except SignstabError as exc:

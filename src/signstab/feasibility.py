@@ -1,5 +1,5 @@
 """Exact feasibility of homogeneous linear systems with strict/weak/equality
-constraints, with integer witness points.
+constraints, with integer witness points and empty-cone multipliers.
 
 The open-cone question "is there x with r.x > 0 for all rows r" drives the
 realizable-sign enumeration.  By Motzkin's transposition theorem (Gordan's
@@ -20,9 +20,15 @@ The tableau grows one constraint at a time (:meth:`Tableau.extend`).  A
 new constraint is one new column; the current basis stays primal feasible,
 so the simplex goes on from where it stopped instead of starting phase 1
 again.  When the new column prices out, the basis is still optimal and
-the witness is unchanged.  Every witness is checked exactly on every row
-of its system, and every multiplier is checked exactly before a system is
-declared empty; a failed check raises ArithmeticError.
+the witness is unchanged.  When the grown system is empty, ``extend``
+hands back its multiplier as ((row, y), ...) over the support, every
+y > 0.  For open cones that multiplier is a Gordan certificate for every
+cone that contains its rows, so a caller may keep it and prune such a
+cone without a solve, after :func:`check_gordan` checks it again.
+
+Every witness is checked exactly on every row of its system, and every
+multiplier is checked exactly before a system is declared empty; a failed
+check raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -75,10 +81,11 @@ class Tableau:
         return cls(rows, [1] + [0] * m, list(range(1, m + 1)), 1, (),
                    (-1,) * dim)
 
-    def extend(self, row, strict: bool = True) -> "Tableau | None":
+    def extend(self, row, strict: bool = True) -> "Tableau | tuple":
         """The tableau of these constraints plus row.x > 0 (or row.x >= 0
-        when not strict), for an integer row; None when an exactly checked
-        multiplier proves the grown system empty."""
+        when not strict), for an integer row.  When the grown system is
+        empty, its exactly checked multiplier instead: a tuple of
+        (row, y) pairs over the support, every y > 0."""
         piv, m = self.piv, len(self.rows)
         # (0; row; strict) against [rhs, artificial block, ...]: map stops
         # at the end of the artificial block
@@ -94,8 +101,7 @@ class Tableau:
         basis = list(self.basis)
         piv = _optimize(rows, cost, basis, piv, m + 1)
         if cost[0] == 0:
-            _check_multiplier(rows, basis, piv, cons, m + 1)
-            return None
+            return _multiplier(rows, basis, piv, cons, m + 1)
         x = [-(c + piv) for c in cost[1:m]]
         g = gcd(*x)
         if g > 1:
@@ -155,21 +161,38 @@ def _optimize(rows, cost, basis, prev, first):
     return prev
 
 
-def _check_multiplier(rows, basis, piv, cons, first):
-    """Exact Gordan/Motzkin check of the basic multiplier of a zero optimum:
-    y >= 0, the strict entries sum to piv, and sum_j y_j row_j = 0."""
-    total = [0] * (len(rows) - 1)
+def _multiplier(rows, basis, piv, cons, first):
+    """The basic multiplier of a zero optimum as ((row, y), ...) over its
+    support, after an exact Gordan/Motzkin check: the strict entries sum to
+    piv, and :func:`check_gordan` holds."""
+    support = []
     strict_sum = 0
     for r, b in zip(rows, basis):
         y = r[0]
         if b < first or not y:
             continue
         row, strict = cons[b - first]
-        if y < 0:
-            raise ArithmeticError("empty-cone multiplier is negative")
         strict_sum += y if strict else 0
+        support.append((row, y))
+    if strict_sum != piv:
+        raise ArithmeticError("empty-cone multiplier failed exact check")
+    check_gordan(support)
+    return tuple(support)
+
+
+def check_gordan(multiplier) -> None:
+    """Exact check of a multiplier ((row, y), ...): the support is not
+    empty, every y > 0 and sum_j y_j row_j = 0.  When its rows are strict,
+    this proves empty every open cone that holds them (Gordan).  Raises
+    ArithmeticError otherwise."""
+    if not multiplier:
+        raise ArithmeticError("empty-cone multiplier has no support")
+    total = [0] * len(multiplier[0][0])
+    for row, y in multiplier:
+        if y <= 0:
+            raise ArithmeticError("empty-cone multiplier is not positive")
         total = [t + y * c for t, c in zip(total, row)]
-    if strict_sum != piv or any(total):
+    if any(total):
         raise ArithmeticError("empty-cone multiplier failed exact check")
 
 
@@ -179,7 +202,7 @@ def _grow(cons, dim):
     t = Tableau.empty(dim)
     for row, strict in cons:
         t = t.extend(row, strict)
-        if t is None:
+        if type(t) is not Tableau:
             return None
     return list(t.witness)
 

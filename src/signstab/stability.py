@@ -12,12 +12,15 @@ Realizable sign sequences come from one exact search over the sign tree
 check and the stretch-factor table all walk.  Each node keeps the
 feasibility tableau of its open cone; a child appends its one new row to
 its parent's tableau and either inherits the parent's witness or pivots
-on from the parent's basis.  Nothing is sampled, so enumeration depends
-on no random seed.
+on from the parent's basis.  An empty child leaves a Gordan multiplier
+behind, and the search keeps it: any later child whose cone holds all of
+that multiplier's rows is pruned by it, checked again exactly, without a
+solve.  Nothing is sampled, so enumeration depends on no random seed.
 
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
-floats enter only when numpy finds the roots of the square-free part.
+floats enter only when numpy finds the roots of the square-free part
+(numpy is imported on the first radius, not by ``import signstab``).
 Floats are never used for sign decisions; exactness claims are routed
 through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 """
@@ -27,9 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import matrices as mx
 from .errors import (
@@ -38,7 +40,12 @@ from .errors import (
     NotRealizableError,
     SignstabError,
 )
-from .feasibility import Tableau, mixed_cone_witness, open_cone_witness
+from .feasibility import (
+    Tableau,
+    check_gordan,
+    mixed_cone_witness,
+    open_cone_witness,
+)
 from .scalars import Scalar, scalar_sign
 from .seeds import MutationPath, PermStep, Seed, is_loop
 from .tropical import (
@@ -157,10 +164,15 @@ def realizable_branches(
 
     With ``stable`` only the strict completions of it are searched: a strict
     entry fixes that flip's side and a zero entry takes both.  Each tree
-    node carries the running product and the feasibility tableau of its
-    open cone.  A flip splits on the sign of the mutating functional; each
-    child appends that one row to its parent's tableau and keeps pivoting
-    from the parent's basis, or is pruned when its cone is certified empty.
+    node carries the running product, the feasibility tableau of its open
+    cone and the set of that cone's rows.  A flip splits on the sign of the
+    mutating functional; each child appends that one row to its parent's
+    tableau and keeps pivoting from the parent's basis, or is pruned when
+    its cone is certified empty.  Every multiplier that proves a cone empty
+    is kept for the rest of the search, filed under each row of its
+    support: a child whose new row the parent's witness does not already
+    satisfy is pruned without a solve when a kept multiplier's rows all lie
+    in its cone, after that multiplier is checked again exactly.
     ``max_branch`` bounds the number of nodes visited.
     """
     if max_branch is not None and max_branch < 1:
@@ -171,8 +183,18 @@ def realizable_branches(
     compiled = path.compiled
     steps, apply_left = compiled.steps, compiled.apply_left
     budget = max_branch
+    # row -> (the other rows, multiplier) for each kept multiplier whose
+    # support holds that row
+    multipliers = {}
 
-    def dfs(step_idx, nu, matrix, tableau, prefix):
+    def certified_empty(row, rows):
+        for others, multiplier in multipliers.get(row, ()):
+            if others <= rows:
+                check_gordan(multiplier)
+                return True
+        return False
+
+    def dfs(step_idx, nu, matrix, tableau, rows, prefix):
         nonlocal budget
         if budget is not None:
             if budget == 0:
@@ -187,19 +209,26 @@ def realizable_branches(
         step = steps[step_idx]
         functional = matrix[step.kp]
         g = math.gcd(*functional) or 1
+        x = tableau.witness
         sides = (1, -1) if stable is None or stable[nu] == 0 else (stable[nu],)
         for side in sides:
-            child = tableau.extend(tuple(side * f // g for f in functional))
-            if child is None:
+            row = tuple(side * f // g for f in functional)
+            if sum(map(mul, row, x)) <= 0 and certified_empty(row, rows):
+                continue
+            child = tableau.extend(row)
+            if type(child) is not Tableau:
+                support = {r for r, _ in child}
+                for r in support:
+                    multipliers.setdefault(r, []).append((support - {r}, child))
                 continue
             child_matrix = list(matrix)
             apply_left(child_matrix, step, side)
             yield from dfs(step_idx + 1, nu + 1, child_matrix, child,
-                           prefix + [side])
+                           rows | {row}, prefix + [side])
 
     n = compiled.n
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return dfs(0, 0, identity, Tableau.empty(n), [])
+    return dfs(0, 0, identity, Tableau.empty(n), frozenset(), [])
 
 
 def enumerate_realizable_signs_with_witnesses(
@@ -411,6 +440,8 @@ def root_radius(p: IntPoly) -> tuple[float, float]:
     of z; the bound is that distance plus a relative floor for float64
     rounding.  A polynomial whose only root is 0 gives (0.0, 0.0).
     """
+    import numpy as np  # here only: most commands compute no radius
+
     q = _squarefree_part(p)
     z = max(np.roots(q.coeffs[::-1]), key=abs, default=0.0)
     est = float(abs(z))

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from signstab import io as sio
+from signstab.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,3 +48,15 @@ def annulus_seed():
 @pytest.fixture(scope="session")
 def annulus_cone():
     return sio.load_cone(DATA / "annulus_cone.json")
+
+
+@pytest.fixture(scope="session")
+def sphere_enumeration():
+    """One in-process `signstab --json-only signs-enumerate` run on the
+    sphere3b loop: (exit code, stdout, seconds taken)."""
+    out = io.StringIO()
+    start = time.time()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json-only", "signs-enumerate",
+                     "--path", str(DATA / "sphere3b_path.json")])
+    return code, out.getvalue(), time.time() - start

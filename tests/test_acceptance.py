@@ -5,6 +5,7 @@ lines; plain `pytest` just checks them.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -272,12 +273,13 @@ def test_criterion_07_characteristic_polynomials(sphere_path, sphere_points):
           "cycle factor nu^3-1 divides each")
 
 
-def test_criterion_08_completions_realizable(sphere_path, sphere_points):
+def test_criterion_08_completions_realizable(sphere_enumeration, sphere_points):
     eps_stab = parse_sign_str(sphere_points["eps_stab"])
-    start = time.time()
-    signs = enumerate_realizable_signs(sphere_path)
-    elapsed = time.time() - start
+    # the full command line, report rendering included, inside the bound
+    code, out, elapsed = sphere_enumeration
+    assert code == 0
     assert elapsed < 60.0
+    signs = {parse_sign_str(s) for s in json.loads(out)["result"]["signs"]}
     for _, eps in _completions(eps_stab):
         assert eps in signs
     ok(8, f"all 16 strict completions realizable; branch-and-prune "

@@ -1,10 +1,16 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from signstab.cli import main
 
 DATA = "tests/data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -232,6 +238,8 @@ def test_eigencheck_rational_matrix(capsys):
     ["signs-enumerate", "--path", f"{DATA}/a2_path.json", "--max-branch", "1"],
     ["duality-check", "--count", "-3"],
     ["signs-enumerate", "--path", f"{DATA}/a2_path.json", "--max-branch", "-3"],
+    ["-o", DATA, "sign", "--path", f"{DATA}/a2_path.json", "--point", "[1,1]"],
+    ["-o", f"{DATA}/missing/report.json", "annulus", "--m", "1", "--t", "1"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     track = tmp_path / "track.json"
@@ -243,8 +251,27 @@ def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     except SystemExit as exc:  # argparse's own usage errors
         code = exc.code
     assert code in (1, 2)
-    doc = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert doc["error"] and doc["message"]
+    assert captured.err == ""
+
+
+def test_usage_error_under_json_only_writes_only_the_report(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json-only", "duality-check", "--count", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "UsageError"
+    assert captured.err == ""
+    # without the flag the usage line and a summary go to stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["duality-check", "--count", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "UsageError"
+    assert captured.err.startswith("usage: signstab duality-check")
+    assert "error: UsageError" in captured.err
 
 
 def test_compat_and_skeleton(capsys):
@@ -347,3 +374,42 @@ def test_orbit_window_validation(capsys):
     code = main(["--json-only", "orbit", "--path", f"{DATA}/kron3_path.json",
                  "--point", "[1,0]", "--iters", "4", "--window", "9"])
     assert code == 2
+
+
+# sha256 of the sphere3b `signs-enumerate` report, recorded before the sign
+# tree kept its empty-cone multipliers: pruning by a kept multiplier must
+# leave every sign, witness and byte of the report as it was
+SPHERE3B_ENUMERATION_SHA256 = (
+    "22e855e0f8d0a2e9f32e7d3198a5f8517fac7f03319ca35e3b3013e157509247"
+)
+
+
+def test_sphere3b_enumeration_report_is_pinned(sphere_enumeration):
+    code, out, _ = sphere_enumeration
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 4772
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == SPHERE3B_ENUMERATION_SHA256
+
+
+def test_numpy_is_imported_only_for_a_radius():
+    code = f"""
+import io, sys, contextlib
+import signstab
+assert "numpy" not in sys.modules, "import signstab loaded numpy"
+from signstab.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--json-only", *argv]) == 0
+run("orbit", "--path", {DATA!r} + "/kron3_path.json", "--point", "[1,0]",
+    "--iters", "4")
+assert "numpy" not in sys.modules, "orbit loaded numpy"
+run("charpoly", "--matrix", "[[3,1],[-1,0]]")
+assert "numpy" in sys.modules, "charpoly computed a radius without numpy"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=SRC.parent, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 from oracles import gordan_empty
 
-from signstab.feasibility import mixed_cone_witness, open_cone_witness
+from signstab.feasibility import (
+    Tableau,
+    check_gordan,
+    mixed_cone_witness,
+    open_cone_witness,
+)
 from signstab.stability import SignCone, cone_feasible
 
 
@@ -105,3 +111,42 @@ def test_dense_dim_8_system_solves():
     rows = [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(16)]
     w = open_cone_witness(rows, 8)
     assert w is not None and verify_open(rows, w)
+
+
+def test_empty_extend_hands_back_its_gordan_multiplier():
+    rng = random.Random(17)
+    empties = 0
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        rows = random_rows(rng, dim, rng.randint(1, 6))
+        grown = Tableau.empty(dim)
+        for row in rows:
+            grown = grown.extend(row)
+            if not isinstance(grown, Tableau):
+                break
+        if isinstance(grown, Tableau):
+            assert not gordan_empty(rows, dim)
+            continue
+        empties += 1
+        # positive weights on rows of the system, summing to zero (Gordan)
+        multiplier = grown
+        assert all(y > 0 and row in rows for row, y in multiplier)
+        assert all(sum(y * row[k] for row, y in multiplier) == 0
+                   for k in range(dim))
+        check_gordan(multiplier)
+        (first, y), rest = multiplier[0], multiplier[1:]
+        with pytest.raises(ArithmeticError):
+            check_gordan(((first, 0),) + rest)
+        if any(first):
+            with pytest.raises(ArithmeticError):
+                check_gordan(((first, y + 1),) + rest)
+    assert 30 < empties < 270
+
+
+def test_check_gordan_rejects_non_certificates():
+    check_gordan((((1, 0), 1), ((-1, 0), 1)))
+    check_gordan((((1, 2), 2), ((-2, -4), 1)))
+    for bad in [(), (((1, 0), 1), ((-1, 1), 1)), (((1, 0), -1), ((-1, 0), -1)),
+                (((1, 0), 1), ((-1, 0), 1), ((0, 1), 0))]:
+        with pytest.raises(ArithmeticError):
+            check_gordan(bad)
