@@ -17,8 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as sio
-from .errors import FormatError, SignstabError, UsageError
-from .matrices import int_inverse, transpose
+from .errors import (FormatError, RadicandMismatchError, SignstabError,
+                     UsageError)
+from .matrices import identity, mat_mul, transpose
 from .reduction import (
     freeze,
     generator_coordinate_trace,
@@ -27,7 +28,7 @@ from .reduction import (
     trace_compatibility,
     trace_sign_caveat,
 )
-from .scalars import format_scalar, parse_scalar
+from .scalars import QuadExt, format_scalar, parse_scalar, square_free_split
 from .seeds import (
     Flip,
     MutationPath,
@@ -96,16 +97,21 @@ def _rational_arg(text: str, flag: str) -> Fraction:
     return value
 
 
-def _emit(args, command: str, inputs: dict, result: dict, summary: str) -> int:
-    text = sio.render_report(command, inputs, result)
+def _write(args, text: str) -> None:
+    """Write a report, success or error, to the -o file and to stdout.  A
+    file that cannot be written is a UsageError, before stdout is touched."""
     if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"-o: cannot write {args.output}: {exc}") from exc
+    sys.stdout.write(text)
+
+
+def _emit(args, command: str, inputs: dict, result: dict, summary: str) -> int:
+    _write(args, sio.render_report(command, inputs, result))
     if not args.json_only:
         print(summary, file=sys.stderr)
-    sys.stdout.write(text)
     return 0
 
 
@@ -286,13 +292,8 @@ def cmd_charpoly(args) -> int:
 
 
 def _check_radicand(values, d):
-    if d is None:
-        return
-    from .errors import RadicandMismatchError
-    from .scalars import QuadExt
-
     for v in values:
-        if isinstance(v, QuadExt) and v.d != d:
+        if d is not None and isinstance(v, QuadExt) and v.d != d:
             raise RadicandMismatchError(
                 f"scalar over sqrt({v.d}) but --radicand {d} was required"
             )
@@ -415,8 +416,7 @@ def cmd_duality_check(args) -> int:
         seed = _random_seed(rng, args.rank, args.max_entry)
         path = _random_path(rng, seed, args.length)
         c = c_matrix(path)
-        g = g_matrix(path)
-        if g != transpose(int_inverse(c)):
+        if mat_mul(transpose(g_matrix(path)), c) != identity(len(c)):
             failures += 1
     return _emit(
         args,
@@ -506,12 +506,15 @@ def cmd_track_validate(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _write_error(exc: SignstabError, json_only: bool) -> None:
+def _write_error(args, exc: SignstabError) -> None:
     error = {"error": type(exc).__name__, "message": str(exc)}
-    sys.stdout.write(json.dumps(
-        {"schema_version": sio.SCHEMA_VERSION, **error},
-        sort_keys=True, indent=2) + "\n")
-    if not json_only:
+    text = json.dumps({"schema_version": sio.SCHEMA_VERSION, **error},
+                      sort_keys=True, indent=2) + "\n"
+    try:
+        _write(args, text)
+    except UsageError:  # the -o file itself cannot be written
+        sys.stdout.write(text)
+    if not args.json_only:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
@@ -529,6 +532,15 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _radicand(text: str) -> int:
+    """An argparse type: a square-free integer d >= 2, the radicand of a
+    QuadExt, else a usage error."""
+    d = _int_at_least(2)(text)
+    if square_free_split(d) != (1, d):
+        raise argparse.ArgumentTypeError(f"must be square-free, got {d}")
+    return d
 
 
 class _Parser(argparse.ArgumentParser):
@@ -596,15 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True)
     p.add_argument("--stable", required=True)
     p.add_argument("--candidate", help="exact scalar to certify against")
-    p.add_argument("--radicand", type=int, default=None,
-                   help="require exact scalars to live over sqrt(d)")
+    p.add_argument("--radicand", type=_radicand, default=None,
+                   help="require exact scalars over sqrt(d), d square-free")
 
     p = add("eigencheck", cmd_eigencheck)
     p.add_argument("--matrix", required=True)
     p.add_argument("--eigenvalue", required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--radicand", type=int, default=None,
-                   help="require exact scalars to live over sqrt(d)")
+    p.add_argument("--radicand", type=_radicand, default=None,
+                   help="require exact scalars over sqrt(d), d square-free")
 
     for name, fn in (("compat", cmd_compat), ("skeleton", cmd_skeleton)):
         p = add(name, fn)
@@ -658,12 +670,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         if not args.json_only:
             sys.stderr.write(exc.usage)
-        _write_error(exc, args.json_only)
+        _write_error(args, exc)
         parser.exit(2)
     try:
         return args.fn(args)
     except SignstabError as exc:
-        _write_error(exc, args.json_only)
+        _write_error(args, exc)
         return 2 if isinstance(exc, UsageError) else 1
 
 

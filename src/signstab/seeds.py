@@ -8,7 +8,9 @@ the unfrozen block.
 A path is walked through its seeds once, the first time it is used: the
 walk is kept as a :class:`CompiledPath`, the path's action on unfrozen
 positions, and every later walk (points, presentation products, sign
-cones, C/G-matrices) runs on it instead of mutating seeds again.
+cones, C/G-matrices, the one-step functions on a one-flip path) runs on
+it instead of mutating seeds again.  It is the one place that applies a
+flip's ``[+-b_ik]_+`` update or a relabeling, except the g-vector flip.
 """
 
 from __future__ import annotations
@@ -145,17 +147,12 @@ def apply_perm(seed: Seed, sigma: tuple[int, ...]) -> Seed:
     return Seed(new, seed.unfrozen)
 
 
-def step_seed(seed: Seed, step: PathStep) -> Seed:
-    if isinstance(step, Flip):
-        return mutate_b(seed, step.k)
-    return apply_perm(seed, step.sigma)
-
-
 def seeds_along(path: MutationPath) -> list[Seed]:
     """Seeds at every vertex of the path; element i precedes step i."""
     out = [path.initial]
     for step in path.steps:
-        out.append(step_seed(out[-1], step))
+        out.append(mutate_b(out[-1], step.k) if isinstance(step, Flip)
+                   else apply_perm(out[-1], step.sigma))
     return out
 
 
@@ -293,7 +290,7 @@ def _column_sign(col) -> int:
     has_pos = any(x > 0 for x in col)
     has_neg = any(x < 0 for x in col)
     if has_pos and has_neg:
-        raise SignCoherenceError(f"column {col} is not sign-coherent")
+        raise SignCoherenceError(f"column {list(col)} is not sign-coherent")
     if not has_pos and not has_neg:
         raise SignCoherenceError("zero C-matrix column")
     return 1 if has_pos else -1
@@ -312,38 +309,32 @@ def g_matrix(path: MutationPath) -> mx.Matrix:
 def _cg_matrices(path: MutationPath) -> tuple[mx.Matrix, mx.Matrix]:
     """Run the sign-coherent C/G recurrences along the path.
 
-    At a flip in direction k with tropical sign eps (the common sign of the
-    current column c_k): c'_k = -c_k and c'_j = c_j + [eps*b_kj]_+ c_k, while
-    g'_k = -g_k + sum_j [-eps*b_jk]_+ g_j.  By skew-symmetry both
-    coefficients are [-eps*b_jk]_+, the compiled column of sign -eps.  A
-    vertical step relabels the COLUMNS the same way it relabels B (rows
-    stay in the initial basis); relabeling rows instead silently
-    desynchronizes the columns from the b-entries used at later flips and
-    breaks sign coherence.
+    The c-vectors are the rows of C^T, carried by the path's own steps.  At
+    a flip in direction k with tropical sign eps (the common sign of c_k):
+    c'_k = -c_k and c'_j = c_j + [eps*b_kj]_+ c_k.  By skew-symmetry the
+    coefficient is [-eps*b_jk]_+, so the update is the edge matrix of sign
+    -eps applied to C^T (``CompiledPath.apply_left``).  The g-vectors, the
+    rows of G^T, keep their own recurrence, g'_k = -g_k + sum_j
+    [-eps*b_jk]_+ g_j, so that tropical duality G^T C = I checks one rule
+    against the other.  A relabeling moves c- and g-vectors the way it
+    moves the B-indices (the rows of C^T and G^T; the initial basis stays
+    put); moving the initial basis instead would desynchronize the vectors
+    from the b-entries used at later flips and break sign coherence.
     """
     compiled = path.compiled
-    n = compiled.n
-    c = [list(row) for row in mx.identity(n)]
-    g = [list(row) for row in mx.identity(n)]
+    ct = list(mx.identity(compiled.n))
+    gt = list(ct)
     for step in compiled.steps:
         if type(step) is PermStep:
-            for matrix in (c, g):
-                for i in range(n):
-                    new_row = [None] * n
-                    for jp, img in enumerate(step.perm):
-                        new_row[img] = matrix[i][jp]
-                    matrix[i] = new_row
+            CompiledPath.apply_left(ct, step)
+            CompiledPath.apply_left(gt, step)
             continue
         kp, cols = step
-        col = [c[i][kp] for i in range(n)]
-        coefs = cols[-_column_sign(col)]
-        for jp, coef in coefs:
-            for i in range(n):
-                c[i][jp] += coef * col[i]
-        for i in range(n):
-            c[i][kp] = -col[i]
-            g[i][kp] = -g[i][kp] + sum(coef * g[i][jp] for jp, coef in coefs)
-    return mx.freeze(c), mx.freeze(g)
+        eps = _column_sign(ct[kp])
+        gt[kp] = [sum((c * gt[jp][i] for jp, c in cols[-eps]), -x)
+                  for i, x in enumerate(gt[kp])]
+        CompiledPath.apply_left(ct, step, -eps)
+    return mx.transpose(ct), mx.transpose(gt)
 
 
 # -- triangulations ----------------------------------------------------------

@@ -4,11 +4,11 @@ along mutation paths, sign sequences, and presentation matrices.
 A tropical point is a tuple of exact scalars indexed by the seed's unfrozen
 indices in increasing order.  Frozen coordinates do not exist here.
 
-``trop_mutate`` and ``edge_matrix`` are the one-step functions at a given
-seed.  Whole-path functions (``transport``, ``sign_of_path``,
-``presentation_matrix_for_sign``) run on the path's
+Every walk along a path runs on the path's
 :class:`~signstab.seeds.CompiledPath`, so the seeds along a path are built
-once, not on every call.
+once, not on every call.  The one-step functions are the one-flip case:
+``trop_mutate`` is ``transport`` and ``edge_matrix`` is
+``presentation_matrix_for_sign`` on the path ``(Flip(k),)``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 from . import matrices as mx
 from .errors import DimensionMismatchError, FormatError, NonStrictSignError
 from .scalars import Scalar, scalar_sign
-from .seeds import MutationPath, Seed
+from .seeds import Flip, MutationPath, Seed
 from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 TropPoint = tuple[Scalar, ...]
@@ -58,21 +58,7 @@ def trop_mutate(seed: Seed, k: int, w: Sequence[Scalar]) -> TropPoint:
     x'_k = -x_k and x'_i = x_i + [sgn(x_k) * b_ik]_+ * x_k for i != k.
     """
     seed.require_unfrozen(k)
-    w = check_point(seed, w)
-    order = seed.unfrozen_order
-    kp = order.index(k)
-    s = scalar_sign(w[kp])
-    out = list(w)
-    out[kp] = -w[kp]
-    if s != 0:
-        b = seed.b
-        for ip, i in enumerate(order):
-            if i == k:
-                continue
-            coef = max(s * b[i][k], 0)
-            if coef:
-                out[ip] = w[ip] + coef * w[kp]
-    return tuple(out)
+    return transport(MutationPath(seed, (Flip(k),)), w)[0]
 
 
 def transport(path: MutationPath, w: Sequence[Scalar]):
@@ -96,16 +82,7 @@ def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
     sgn(x_k) = eps: E_kk = -1, E_ik = [eps*b_ik]_+, identity elsewhere."""
     if eps not in (1, -1):
         raise NonStrictSignError((0,), "edge matrix requires a strict sign")
-    seed.require_unfrozen(k)
-    order = seed.unfrozen_order
-    kp = order.index(k)
-    n = len(order)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[kp][kp] = -1
-    for ip, i in enumerate(order):
-        if i != k:
-            rows[ip][kp] = max(eps * seed.b[i][k], 0)
-    return mx.freeze(rows)
+    return presentation_matrix_for_sign(MutationPath(seed, (Flip(k),)), (eps,))
 
 
 def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:

@@ -22,6 +22,76 @@ def mutated(b, k):
     ]
 
 
+def relabeled(b, sigma):
+    """The relabeled matrix b'_{sigma(i) sigma(j)} = b_ij."""
+    n = len(b)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[sigma[i]][sigma[j]] = b[i][j]
+    return out
+
+
+def trop_step(col, kp, x):
+    """The tropical step x'_k = -x_k, x'_i = x_i + [s*b_ik]_+ x_k with
+    s = sgn(x_k); col is column k of B over the coordinates of x, and kp
+    is the position of k among them."""
+    xk = x[kp]
+    s = (xk > 0) - (xk < 0)
+    out = list(x)
+    out[kp] = -xk
+    for i, b in enumerate(col):
+        if i != kp and s * b > 0:
+            out[i] = x[i] + s * b * xk
+    return tuple(out)
+
+
+def edge_matrix(col, kp, eps):
+    """The linear branch of trop_step on the side sgn(x_k) = eps:
+    E_kk = -1, E_ik = [eps*b_ik]_+, identity elsewhere."""
+    n = len(col)
+    return [[-1 if i == j == kp else max(eps * col[i], 0) if j == kp
+             else int(i == j) for j in range(n)] for i in range(n)]
+
+
+def perm_matrix(sigma):
+    """Matrix of the relabeling x'_{sigma(i)} = x_i: entry 1 at (sigma(i), i)."""
+    n = len(sigma)
+    return tuple(tuple(int(sigma[j] == i) for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def framed_c_matrix(b, unfrozen, steps):
+    """C-matrix of a path by matrix mutation of the framed matrix
+    [[B, -F^T], [F, 0]], where F puts a 1 in frame row p at the p-th
+    unfrozen index (principal coefficients).  In steps an int k is a flip
+    at k and a tuple sigma relabels the indices of B.  Row p of the result
+    is frame row p; its columns are the unfrozen indices in order."""
+    n = len(b)
+    order = sorted(unfrozen)
+    size = n + len(order)
+    framed = [list(row) + [0] * len(order) for row in b]
+    framed += [[0] * size for _ in order]
+    for p, idx in enumerate(order):
+        framed[n + p][idx] = 1
+        framed[idx][n + p] = -1
+    for step in steps:
+        if isinstance(step, int):
+            framed = mutated(framed, step)
+        else:
+            framed = relabeled(framed, tuple(step) + tuple(range(n, size)))
+    return tuple(tuple(framed[n + p][idx] for idx in order)
+                 for p in range(len(order)))
+
+
 def _unique_solution(a, b):
     """The unique solution of a z = b (Fraction elimination), or None when
     the system is inconsistent or underdetermined."""
@@ -55,3 +125,33 @@ def gordan_empty(rows, dim):
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False
+
+
+def inverse(m):
+    """The exact inverse of a square matrix, one column per unit vector;
+    ZeroDivisionError when m is singular."""
+    n = len(m)
+    cols = [_unique_solution(m, [int(i == j) for i in range(n)])
+            for j in range(n)]
+    if None in cols:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
+
+
+def det(m):
+    """The exact determinant by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    result = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            result = -result
+        result *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return result

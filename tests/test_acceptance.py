@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from oracles import mutated
+from oracles import edge_matrix, inverse, mat_mul, mutated, trop_step
 
 from signstab import (
     Flip,
@@ -46,7 +46,7 @@ from signstab import (
     transport,
     verify_eigenpair,
 )
-from signstab.matrices import int_inverse, transpose
+from signstab.matrices import transpose
 
 F = Fraction
 GOLDEN = QuadExt(F(3, 2), F(1, 2), 5)  # (3 + sqrt 5) / 2
@@ -126,7 +126,7 @@ def test_criterion_03_tropical_duality():
         path = _random_path(rng, seed, max_len=12)
         c = c_matrix(path)  # raises on any sign-coherence violation
         g = g_matrix(path)
-        assert g == transpose(int_inverse(c))
+        assert g == transpose(inverse(c))
     elapsed = time.time() - start
     assert elapsed < 30.0
     ok(3, f"1000 random seeds: G = (C^-1)^T and sign coherence "
@@ -388,29 +388,22 @@ def _flip_columns(path):
 def _oracle_signs(cols, pt):
     """Sign sequence of an integer point by the tropical step formula
     x'_k = -x_k, x'_i = x_i + [s*b_ik]_+ x_k with s = sgn(x_k)."""
-    x = list(pt)
+    x = tuple(pt)
     signs = []
     for kp, col in cols:
-        xk = x[kp]
-        s = (xk > 0) - (xk < 0)
-        signs.append(s)
-        x = [-xk if i == kp else xi + max(s * col[i], 0) * xk
-             for i, xi in enumerate(x)]
+        signs.append((x[kp] > 0) - (x[kp] < 0))
+        x = trop_step(col, kp, x)
     return tuple(signs)
 
 
 def _branch_rows(cols, eps, n):
     """Rows eps_nu * (row k_nu of E_{nu-1} ... E_1), one per flip, with the
-    edge matrices E (E_kk = -1, E_ik = [eps*b_ik]_+) multiplied out here."""
+    edge matrices E (E_kk = -1, E_ik = [eps*b_ik]_+) multiplied out."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     rows = []
     for (kp, col), e in zip(cols, eps):
         rows.append(tuple(e * x for x in m[kp]))
-        m = [
-            [-m[kp][j] if i == kp else m[i][j] + max(e * col[i], 0) * m[kp][j]
-             for j in range(n)]
-            for i in range(n)
-        ]
+        m = mat_mul(edge_matrix(col, kp, e), m)
     return rows
 
 

@@ -100,6 +100,30 @@ def test_mutate_and_output_file(capsys, tmp_path):
     assert json.loads(out)["result"]["seed"]["B"] == [[0, -1], [1, 0]]
 
 
+@pytest.mark.parametrize("argv, want_code, want_error", [
+    (["sign", "--path", f"{DATA}/a2_path.json", "--point", "[1]"],
+     1, "DimensionMismatchError"),
+    (["orbit", "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+      "--iters", "0"], 2, "UsageError"),
+])
+def test_error_report_replaces_output_file(capsys, tmp_path, argv,
+                                           want_code, want_error):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "--json-only", "-o", str(out_file),
+        "sign", "--path", f"{DATA}/a2_path.json", "--point", "[1,1]",
+    )
+    assert code == 0 and "result" in json.loads(out_file.read_text())
+    try:
+        code = main(["--json-only", "-o", str(out_file), *argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert code == want_code
+    out = capsys.readouterr().out
+    assert out_file.read_text() == out
+    assert json.loads(out)["error"] == want_error
+
+
 def test_domain_error_exit_code(capsys):
     code, out, _ = run(
         capsys, "--json-only", "presentation",
@@ -240,6 +264,14 @@ def test_eigencheck_rational_matrix(capsys):
     ["signs-enumerate", "--path", f"{DATA}/a2_path.json", "--max-branch", "-3"],
     ["-o", DATA, "sign", "--path", f"{DATA}/a2_path.json", "--point", "[1,1]"],
     ["-o", f"{DATA}/missing/report.json", "annulus", "--m", "1", "--t", "1"],
+    ["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
+     "--radicand", "4"],
+    ["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
+     "--radicand", "1"],
+    ["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
+     "--candidate", "3/2+1/2*sqrt(5)", "--radicand", "-3"],
+    ["eigencheck", "--matrix", "[[1,0],[0,2]]", "--eigenvalue", "1",
+     "--vector", "[1,0]", "--radicand", "4"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     track = tmp_path / "track.json"
@@ -254,6 +286,8 @@ def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert doc["error"] and doc["message"]
+    if "--radicand" in argv:  # a square-free d >= 2, checked by argparse
+        assert code == 2 and doc["error"] == "UsageError"
     assert captured.err == ""
 
 

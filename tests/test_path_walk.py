@@ -1,15 +1,24 @@
 """Whole-path functions against a step-by-step walk built in this file.
 
-The reference walk uses only the public one-step functions (trop_mutate,
-mutate_b, apply_perm, edge_matrix), a coordinate relabeling written here,
-and matrix products written here.  The seeds are random, with frozen
-indices and split-preserving Permute steps, and the points are rational
-or lie in Q(sqrt 5).
+The reference walk calls no signstab step function: it mutates and
+relabels B, steps points and multiplies edge matrices with the formulas
+in ``oracles``, and relabels coordinates here.  The seeds are random,
+with frozen indices and split-preserving Permute steps, and the points
+are rational or lie in Q(sqrt 5).
 """
 
 import itertools
 import random
 from fractions import Fraction
+
+from oracles import (
+    edge_matrix,
+    mat_mul,
+    mutated,
+    perm_matrix,
+    relabeled,
+    trop_step,
+)
 
 from signstab import (
     Cone,
@@ -18,16 +27,12 @@ from signstab import (
     Permute,
     QuadExt,
     Seed,
-    apply_perm,
-    edge_matrix,
     generator_coordinate_trace,
     is_loop,
-    mutate_b,
     presentation_matrix_for_sign,
     scalar_sign,
     sign_of_path,
     transport,
-    trop_mutate,
 )
 
 CASES = 240
@@ -68,31 +73,15 @@ def _random_point(rng, n, quadratic):
     return tuple(_random_scalar(rng, quadratic) for _ in range(n))
 
 
-def _relabel(seed, sigma, w):
-    """x'_{sigma(i)} = x_i on the unfrozen coordinates."""
-    order = sorted(seed.unfrozen)
-    out = [None] * len(order)
-    for p, idx in enumerate(order):
-        out[order.index(sigma[idx])] = w[p]
-    return tuple(out)
-
-
-def _relabel_matrix(seed, sigma):
-    order = sorted(seed.unfrozen)
-    n = len(order)
-    return [[int(order.index(sigma[order[q]]) == p) for q in range(n)]
-            for p in range(n)]
-
-
-def _mul(a, b):
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+def _position_perm(order, sigma):
+    """The relabeling sigma on positions among the unfrozen indices."""
+    return [order.index(sigma[idx]) for idx in order]
 
 
 def _reference_walk(path, w):
     """(signs, points before each step, end point, flip positions)."""
-    seed = path.initial
-    order = sorted(seed.unfrozen)
+    b = path.initial.b
+    order = sorted(path.initial.unfrozen)
     signs, before, flips = [], [], []
     for step in path.steps:
         before.append(w)
@@ -100,27 +89,32 @@ def _reference_walk(path, w):
             kp = order.index(step.k)
             flips.append((len(before) - 1, kp))
             signs.append(scalar_sign(w[kp]))
-            w = trop_mutate(seed, step.k, w)
-            seed = mutate_b(seed, step.k)
+            w = trop_step([b[i][step.k] for i in order], kp, w)
+            b = mutated(b, step.k)
         else:
-            w = _relabel(seed, step.sigma, w)
-            seed = apply_perm(seed, step.sigma)
+            out = [None] * len(w)
+            for p, img in enumerate(_position_perm(order, step.sigma)):
+                out[img] = w[p]
+            w = tuple(out)
+            b = relabeled(b, step.sigma)
     return tuple(signs), before, w, flips
 
 
 def _reference_presentation(path, eps):
-    seed = path.initial
-    n = seed.n_uf
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    """(E^eps, the end matrix B)."""
+    b = path.initial.b
+    order = sorted(path.initial.unfrozen)
+    m = [[int(i == j) for j in order] for i in order]
     signs = iter(eps)
     for step in path.steps:
         if isinstance(step, Flip):
-            m = _mul([list(r) for r in edge_matrix(seed, step.k, next(signs))], m)
-            seed = mutate_b(seed, step.k)
+            col = [b[i][step.k] for i in order]
+            m = mat_mul(edge_matrix(col, order.index(step.k), next(signs)), m)
+            b = mutated(b, step.k)
         else:
-            m = _mul(_relabel_matrix(seed, step.sigma), m)
-            seed = apply_perm(seed, step.sigma)
-    return tuple(tuple(row) for row in m), seed
+            m = mat_mul(perm_matrix(_position_perm(order, step.sigma)), m)
+            b = relabeled(b, step.sigma)
+    return tuple(tuple(row) for row in m), tuple(map(tuple, b))
 
 
 def test_whole_path_functions_match_step_by_step_walk():
@@ -149,9 +143,9 @@ def test_whole_path_functions_match_step_by_step_walk():
                              for row in m) == end, case
         sign_set = list(itertools.product((1, -1), repeat=path.h))
         for eps in rng.sample(sign_set, min(4, len(sign_set))):
-            want, end_seed = _reference_presentation(path, eps)
+            want, end_b = _reference_presentation(path, eps)
             assert presentation_matrix_for_sign(path, eps) == want, case
-        assert is_loop(path) == (end_seed.b == path.initial.b)
+        assert is_loop(path) == (end_b == path.initial.b)
         cone = Cone(tuple(points))
         want = [[before[i][kp] for before, _ in walks] for i, kp in walks[0][1]]
         assert generator_coordinate_trace(path, cone) == want, case

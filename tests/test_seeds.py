@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracles import det, framed_c_matrix, inverse
+
 from signstab import (
     Flip,
     FrozenIndexError,
@@ -19,7 +21,7 @@ from signstab import (
     mutate_b,
     seeds_along,
 )
-from signstab.matrices import det, int_inverse, is_skew_symmetric, transpose
+from signstab.matrices import is_skew_symmetric, transpose
 from signstab.seeds import CompiledPath, FlipStep
 
 A2 = Seed([[0, 1], [-1, 0]], {0, 1})
@@ -131,7 +133,7 @@ def test_tropical_duality_random():
         path = random_flip_path(rng, s, rng.randint(0, 8))
         c = c_matrix(path)
         g = g_matrix(path)
-        assert g == transpose(int_inverse(c))
+        assert g == transpose(inverse(c))
         assert det(c) in (1, -1)
 
 
@@ -153,7 +155,34 @@ def test_permutation_steps_in_cg():
     path = MutationPath(kronecker(3), (Flip(0), Permute((1, 0))))
     c = c_matrix(path)
     g = g_matrix(path)
-    assert g == transpose(int_inverse(c))
+    assert g == transpose(inverse(c))
+
+
+def test_cg_with_frozen_indices_match_framed_mutation():
+    """C from matrix mutation of the framed full B, frozen rows included,
+    and G^T C = I, on paths with frozen indices and relabelings."""
+    rng = random.Random(11)
+    for case in range(200):
+        s = random_seed(rng, max_rank=4, frozen=rng.randint(1, 2))
+        n = s.n
+        unfrozen = sorted(rng.sample(range(n), s.n_uf))
+        frozen = [i for i in range(n) if i not in unfrozen]
+        steps = []
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.25:
+                sigma = list(range(n))
+                for block in (unfrozen, frozen):
+                    images = rng.sample(block, len(block))
+                    for i, img in zip(block, images):
+                        sigma[i] = img
+                steps.append(Permute(tuple(sigma)))
+            else:
+                steps.append(Flip(rng.choice(unfrozen)))
+        path = MutationPath(Seed(s.b, frozenset(unfrozen)), tuple(steps))
+        c = c_matrix(path)
+        plain = [st.k if isinstance(st, Flip) else st.sigma for st in steps]
+        assert c == framed_c_matrix(s.b, unfrozen, plain), case
+        assert g_matrix(path) == transpose(inverse(c)), case
 
 
 # -- triangulations -----------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import perm_matrix
+
 from signstab import (
     Flip,
     IntPoly,
@@ -31,7 +33,6 @@ from signstab import (
     stretch_factor,
     verify_eigenpair,
 )
-from signstab.matrices import perm_matrix
 
 from test_seeds import A2, kronecker
 

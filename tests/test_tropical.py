@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import det, mat_vec, trop_step
+
 from signstab import (
     Flip,
     MutationPath,
@@ -18,7 +20,6 @@ from signstab import (
     transport,
     trop_mutate,
 )
-from signstab.matrices import det, mat_vec
 from signstab.tropical import normalize_point
 
 from test_seeds import A2, kronecker, random_seed
@@ -83,7 +84,9 @@ def test_edge_matrices_agree_on_wall():
         w[kp] = F(0)
         plus = mat_vec(edge_matrix(s, k, 1), w)
         minus = mat_vec(edge_matrix(s, k, -1), w)
+        col = [s.b[i][k] for i in s.unfrozen_order]
         assert plus == minus == trop_mutate(s, k, tuple(w))
+        assert plus == trop_step(col, kp, w)
 
 
 def test_presentation_kronecker():
