@@ -35,6 +35,7 @@ from .seeds import (
     apply_perm,
     b_from_triangulation,
     c_matrix,
+    cg_matrices,
     g_matrix,
     is_loop,
     mutate_b,

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads the declared JSON formats, runs the engine, and
-emits a deterministic JSON report on stdout (schema_version, command,
-resolved inputs, result).  A one-line human summary goes to stderr unless
---json-only is given.  Exit codes: 0 success, 1 domain error, 2 usage.
-Errors of both kinds are JSON reports on stdout too.
+Every subcommand handler reads the declared JSON formats, runs the engine
+and returns ``(inputs, result, summary)``.  :func:`main` renders them as a
+deterministic JSON report (schema_version, command, resolved inputs,
+result) under the command name the parser registered, writes it to stdout
+and to the -o file, and prints the one-line human summary on stderr
+unless --json-only is given.  Exit codes: 0 success, 1 domain error, 2
+usage.  Errors of both kinds are JSON reports on stdout too.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from .reduction import (
     trace_compatibility,
     trace_sign_caveat,
 )
-from .scalars import QuadExt, format_scalar, parse_scalar, square_free_split
+from .scalars import (MAX_RADICAND, QuadExt, format_scalar, parse_scalar,
+                      square_free_split)
 from .seeds import (
     Flip,
     MutationPath,
     Permute,
     Seed,
-    c_matrix,
-    g_matrix,
+    cg_matrices,
     mutate_b,
 )
 from .stability import (
@@ -108,13 +110,6 @@ def _write(args, text: str) -> None:
     sys.stdout.write(text)
 
 
-def _emit(args, command: str, inputs: dict, result: dict, summary: str) -> int:
-    _write(args, sio.render_report(command, inputs, result))
-    if not args.json_only:
-        print(summary, file=sys.stderr)
-    return 0
-
-
 def _matrix_json(m):
     return [list(row) for row in m]
 
@@ -124,21 +119,19 @@ def _point_json(w):
 
 
 # -- subcommand handlers ---------------------------------------------------------
+#
+# Each handler returns (inputs, result, summary); main() writes the report.
 
 
-def cmd_mutate(args) -> int:
+def cmd_mutate(args):
     seed = sio.load_seed(args.seed)
     out = seed
     ks = _int_list(args.k, "--k")
     for k in ks:
         out = mutate_b(out, k)
-    return _emit(
-        args,
-        "mutate",
-        {"seed": sio.seed_to_obj(seed), "k": ks},
-        {"seed": sio.seed_to_obj(out)},
-        f"mutated at {args.k}",
-    )
+    return ({"seed": sio.seed_to_obj(seed), "k": ks},
+            {"seed": sio.seed_to_obj(out)},
+            f"mutated at {args.k}")
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -150,91 +143,65 @@ def _int_list(text: str, flag: str) -> list[int]:
         ) from None
 
 
-def cmd_transport(args) -> int:
+def cmd_transport(args):
     path = sio.load_path(args.path)
     w = _point_arg(args.point)
     final, mids = transport(path, w)
     result = {"final": _point_json(final)}
     if args.trace:
         result["intermediates"] = [_point_json(m) for m in mids]
-    return _emit(
-        args,
-        "transport",
-        {"path": sio.path_to_obj(path), "point": _point_json(w)},
-        result,
-        f"transported to {_point_json(final)}",
-    )
+    return ({"path": sio.path_to_obj(path), "point": _point_json(w)},
+            result,
+            f"transported to {_point_json(final)}")
 
 
-def cmd_sign(args) -> int:
+def cmd_sign(args):
     path = sio.load_path(args.path)
     w = _point_arg(args.point)
     eps = sign_of_path(path, w)
-    return _emit(
-        args,
-        "sign",
-        {"path": sio.path_to_obj(path), "point": _point_json(w)},
-        {"sign": sign_str(eps)},
-        f"sign {','.join(sign_str(eps))}",
-    )
+    return ({"path": sio.path_to_obj(path), "point": _point_json(w)},
+            {"sign": sign_str(eps)},
+            f"sign {','.join(sign_str(eps))}")
 
 
-def _check_orbit_flags(args):
+def _orbit(args):
+    """The orbit of --point under --path: (orbit report, inputs, the
+    detection fields of the result)."""
     if args.window is not None and args.window > args.iters:
         raise UsageError("orbit flags need window <= iters")
-
-
-def cmd_orbit(args) -> int:
-    _check_orbit_flags(args)
     path = sio.load_path(args.path)
     w = _point_arg(args.point)
     report = iterate_orbit(path, w, args.iters, window=args.window)
-    rows = [
+    inputs = {"path": sio.path_to_obj(path), "point": _point_json(w),
+              "iters": args.iters, "window": report.window}
+    result = {
+        "window": report.window,
+        "stable": sign_str(report.detected_stable) if report.detected_stable else None,
+        "weak_stable": sign_str(report.detected_weak_stable),
+        "weak_all_zero": report.all_zero_warning,
+        "empirical": True,
+    }
+    return report, inputs, result
+
+
+def cmd_orbit(args):
+    report, inputs, result = _orbit(args)
+    result["iterations"] = [
         {"n": i + 1, "sign": sign_str(s), "point": _point_json(p)}
         for i, (s, p) in enumerate(report.iterations)
     ]
-    result = {
-        "iterations": rows,
-        "window": report.window,
-        "stable": sign_str(report.detected_stable) if report.detected_stable else None,
-        "weak_stable": sign_str(report.detected_weak_stable),
-        "weak_all_zero": report.all_zero_warning,
-        "stabilization_index": report.stabilization_index,
-        "empirical": True,
-    }
-    return _emit(
-        args,
-        "orbit",
-        {"path": sio.path_to_obj(path), "point": _point_json(w),
-         "iters": args.iters, "window": report.window},
-        result,
-        f"orbit of {args.iters} iterations, stable={result['stable']}",
-    )
+    result["stabilization_index"] = report.stabilization_index
+    return (inputs, result,
+            f"orbit of {args.iters} iterations, stable={result['stable']}")
 
 
-def cmd_stable_sign(args) -> int:
-    _check_orbit_flags(args)
-    path = sio.load_path(args.path)
-    w = _point_arg(args.point)
-    report = iterate_orbit(path, w, args.iters, window=args.window)
-    result = {
-        "stable": sign_str(report.detected_stable) if report.detected_stable else None,
-        "weak_stable": sign_str(report.detected_weak_stable),
-        "weak_all_zero": report.all_zero_warning,
-        "window": report.window,
-        "empirical": True,
-    }
-    return _emit(
-        args,
-        "stable-sign",
-        {"path": sio.path_to_obj(path), "point": _point_json(w),
-         "iters": args.iters, "window": report.window},
-        result,
-        f"stable={result['stable']} weak={result['weak_stable']}",
-    )
+def cmd_stable_sign(args):
+    _, inputs, result = _orbit(args)
+    return (inputs, result,
+            f"stable={result['stable']} weak={result['weak_stable']}")
 
 
-def cmd_signs_enumerate(args) -> int:
+def cmd_signs_enumerate(args):
     path = sio.load_path(args.path)
     found = enumerate_realizable_signs_with_witnesses(
         path, max_branch=args.max_branch
@@ -245,16 +212,11 @@ def cmd_signs_enumerate(args) -> int:
         "signs": [sign_str(s) for s in signs],
         "witnesses": {sign_str(s): _point_json(found[s]) for s in signs},
     }
-    return _emit(
-        args,
-        "signs-enumerate",
-        {"path": sio.path_to_obj(path)},
-        result,
-        f"{len(signs)} realizable strict sign sequences",
-    )
+    return ({"path": sio.path_to_obj(path)}, result,
+            f"{len(signs)} realizable strict sign sequences")
 
 
-def cmd_presentation(args) -> int:
+def cmd_presentation(args):
     path = sio.load_path(args.path)
     if args.sign:
         eps = parse_sign_str(args.sign)
@@ -264,11 +226,10 @@ def cmd_presentation(args) -> int:
         w = _point_arg(args.point)
         m = presentation_matrix_at_point(path, w)
         inputs = {"path": sio.path_to_obj(path), "point": _point_json(w)}
-    return _emit(args, "presentation", inputs, {"matrix": _matrix_json(m)},
-                 "presentation matrix computed")
+    return inputs, {"matrix": _matrix_json(m)}, "presentation matrix computed"
 
 
-def cmd_charpoly(args) -> int:
+def cmd_charpoly(args):
     if args.matrix:
         m = _int_matrix_arg(args.matrix)
         inputs = {"matrix": _matrix_json(m)}
@@ -281,14 +242,10 @@ def cmd_charpoly(args) -> int:
         inputs = {"path": sio.path_to_obj(path), "sign": sign_str(eps)}
     p = char_poly(m)
     rho, bound = root_radius(p)
-    return _emit(
-        args,
-        "charpoly",
-        inputs,
-        {"coefficients_ascending": list(p.coeffs), "pretty": str(p),
-         "spectral_radius": rho, "radius_bound": bound},
-        f"charpoly {p}",
-    )
+    return (inputs,
+            {"coefficients_ascending": list(p.coeffs), "pretty": str(p),
+             "spectral_radius": rho, "radius_bound": bound},
+            f"charpoly {p}")
 
 
 def _check_radicand(values, d):
@@ -299,7 +256,7 @@ def _check_radicand(values, d):
             )
 
 
-def cmd_stretch(args) -> int:
+def cmd_stretch(args):
     path = sio.load_path(args.path)
     eps = parse_sign_str(args.stable)
     candidate = parse_scalar(args.candidate) if args.candidate else None
@@ -317,33 +274,25 @@ def cmd_stretch(args) -> int:
         if report.exact_value is not None
         else None,
     }
-    return _emit(
-        args,
-        "stretch",
-        {"path": sio.path_to_obj(path), "stable": sign_str(eps)},
-        result,
-        f"lambda = {report.value:.10f}",
-    )
+    return ({"path": sio.path_to_obj(path), "stable": sign_str(eps)},
+            result,
+            f"lambda = {report.value:.10f}")
 
 
-def cmd_eigencheck(args) -> int:
+def cmd_eigencheck(args):
     m = _matrix_arg(args.matrix)
     lam = parse_scalar(args.eigenvalue)
     x = _point_arg(args.vector)
     _check_radicand([lam, *x], args.radicand)
     ok = verify_eigenpair(m, lam, x)
-    return _emit(
-        args,
-        "eigencheck",
-        {"matrix": [_point_json(row) for row in m],
-         "eigenvalue": format_scalar(lam),
-         "vector": _point_json(x)},
-        {"verified": ok},
-        f"eigenpair {'verified' if ok else 'REJECTED'}",
-    )
+    return ({"matrix": [_point_json(row) for row in m],
+             "eigenvalue": format_scalar(lam),
+             "vector": _point_json(x)},
+            {"verified": ok},
+            f"eigenpair {'verified' if ok else 'REJECTED'}")
 
 
-def cmd_compat(args) -> int:
+def cmd_compat(args):
     path = sio.load_path(args.path)
     cone = sio.load_cone(args.cone)
     trace = generator_coordinate_trace(path, cone)
@@ -357,76 +306,56 @@ def cmd_compat(args) -> int:
         result["generator_coordinates"] = [
             [sio.coord_json(v) for v in row] for row in trace
         ]
-    return _emit(
-        args,
-        "compat",
-        {"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone)},
-        result,
-        f"compatible flips: {[i for i, c in enumerate(compat) if c]}",
-    )
+    return ({"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone)},
+            result,
+            f"compatible flips: {[i for i, c in enumerate(compat) if c]}")
 
 
-def cmd_hereditary(args) -> int:
+def cmd_hereditary(args):
     path = sio.load_path(args.path)
     cone = sio.load_cone(args.cone)
     eps = parse_sign_str(args.stable)
     report = hereditary_check(path, cone, eps)
-    return _emit(
-        args,
-        "hereditary",
-        {"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone),
-         "stable": sign_str(eps)},
-        {"passes": report.passes,
-         "compatible_positions": report.compatible_positions,
-         "violations": report.violations},
-        f"hereditary: {'pass' if report.passes else 'FAIL'}",
-    )
+    return ({"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone),
+             "stable": sign_str(eps)},
+            {"passes": report.passes,
+             "compatible_positions": report.compatible_positions,
+             "violations": report.violations},
+            f"hereditary: {'pass' if report.passes else 'FAIL'}")
 
 
-def cmd_skeleton(args) -> int:
+def cmd_skeleton(args):
     path = sio.load_path(args.path)
     cone = sio.load_cone(args.cone)
     skel = reduced_subsequence(path, cone)
-    return _emit(
-        args,
-        "skeleton",
-        {"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone)},
-        {"skeleton": [{"position": p, "flip": k} for p, k in skel]},
-        f"{len(skel)} compatible flips",
-    )
+    return ({"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone)},
+            {"skeleton": [{"position": p, "flip": k} for p, k in skel]},
+            f"{len(skel)} compatible flips")
 
 
-def cmd_freeze(args) -> int:
+def cmd_freeze(args):
     seed = sio.load_seed(args.seed)
     frozen_out = _int_list(args.freeze, "--freeze")
     out = freeze(seed, frozen_out)
-    return _emit(
-        args,
-        "freeze",
-        {"seed": sio.seed_to_obj(seed), "freeze": frozen_out},
-        {"seed": sio.seed_to_obj(out)},
-        f"froze {args.freeze}",
-    )
+    return ({"seed": sio.seed_to_obj(seed), "freeze": frozen_out},
+            {"seed": sio.seed_to_obj(out)},
+            f"froze {args.freeze}")
 
 
-def cmd_duality_check(args) -> int:
+def cmd_duality_check(args):
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):
         seed = _random_seed(rng, args.rank, args.max_entry)
-        path = _random_path(rng, seed, args.length)
-        c = c_matrix(path)
-        if mat_mul(transpose(g_matrix(path)), c) != identity(len(c)):
+        c, g = cg_matrices(_random_path(rng, seed, args.length))
+        if mat_mul(transpose(g), c) != identity(len(c)):
             failures += 1
-    return _emit(
-        args,
-        "duality-check",
-        {"count": args.count, "rank": args.rank, "max_entry": args.max_entry,
-         "length": args.length, "rng_seed": args.seed},
-        {"failures": failures, "ok": failures == 0, "rng_seed": args.seed},
-        f"duality: {args.count - failures}/{args.count} ok "
-        f"(rng seed {args.seed})",
-    )
+    return ({"count": args.count, "rank": args.rank,
+             "max_entry": args.max_entry, "length": args.length,
+             "rng_seed": args.seed},
+            {"failures": failures, "ok": failures == 0, "rng_seed": args.seed},
+            f"duality: {args.count - failures}/{args.count} ok "
+            f"(rng seed {args.seed})")
 
 
 def _random_seed(rng: random.Random, max_rank: int, max_entry: int) -> Seed:
@@ -454,53 +383,39 @@ def _random_path(rng: random.Random, seed: Seed, max_len: int) -> MutationPath:
     return MutationPath(seed, tuple(steps))
 
 
-def cmd_pants(args) -> int:
+def cmd_pants(args):
     m1 = _rational_arg(args.m1, "--m1")
     m2 = _rational_arg(args.m2, "--m2")
     m3 = _rational_arg(args.m3, "--m3")
     m = pants_measures(m1, m2, m3)
     sums = pants_boundary_sums(m)
     names = ("e11", "e12", "e13", "e22", "e23", "e33")
-    return _emit(
-        args,
-        "pants",
-        {"m1": args.m1, "m2": args.m2, "m3": args.m3},
-        {
-            "measures": {k: sio.coord_json(v) for k, v in zip(names, m)},
-            "boundary_sums": [sio.coord_json(s) for s in sums],
-            "triangle_regime": in_triangle_regime(m1, m2, m3),
-        },
-        f"pants measures {[str(x) for x in m]}",
-    )
+    return ({"m1": args.m1, "m2": args.m2, "m3": args.m3},
+            {"measures": {k: sio.coord_json(v) for k, v in zip(names, m)},
+             "boundary_sums": [sio.coord_json(s) for s in sums],
+             "triangle_regime": in_triangle_regime(m1, m2, m3)},
+            f"pants measures {[str(x) for x in m]}")
 
 
-def cmd_annulus(args) -> int:
+def cmd_annulus(args):
     family, e1, e2 = annulus_solve(_rational_arg(args.m, "--m"),
                                    _rational_arg(args.t, "--t"))
-    return _emit(
-        args,
-        "annulus",
-        {"m": args.m, "t": args.t},
-        {"family": family, "e1": sio.coord_json(e1), "e2": sio.coord_json(e2)},
-        f"annulus family {family}, edges {e1}, {e2}",
-    )
+    return ({"m": args.m, "t": args.t},
+            {"family": family, "e1": sio.coord_json(e1), "e2": sio.coord_json(e2)},
+            f"annulus family {family}, edges {e1}, {e2}")
 
 
-def cmd_track_validate(args) -> int:
+def cmd_track_validate(args):
     track = sio.load_track(args.track)
     measure = sio.measure_from_obj(_inline_or_file(args.measure))
     try:
         ok, bad = validate_measure(track, measure)
     except ValueError as exc:  # a measure on an edge the track lacks
         raise FormatError(f"--measure: {exc}") from exc
-    return _emit(
-        args,
-        "track-validate",
-        {"track": {"edges": list(track.edges)},
-         "measure": {k: sio.coord_json(v) for k, v in sorted(measure.items())}},
-        {"ok": ok, "violating_switches": bad},
-        f"switch conditions {'hold' if ok else 'FAIL'}",
-    )
+    return ({"track": {"edges": list(track.edges)},
+             "measure": {k: sio.coord_json(v) for k, v in sorted(measure.items())}},
+            {"ok": ok, "violating_switches": bad},
+            f"switch conditions {'hold' if ok else 'FAIL'}")
 
 
 # -- parser ------------------------------------------------------------------
@@ -535,9 +450,12 @@ def _int_at_least(low: int):
 
 
 def _radicand(text: str) -> int:
-    """An argparse type: a square-free integer d >= 2, the radicand of a
-    QuadExt, else a usage error."""
+    """An argparse type: a square-free integer 2 <= d <= MAX_RADICAND, the
+    radicand of a QuadExt, else a usage error."""
     d = _int_at_least(2)(text)
+    if d > MAX_RADICAND:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_RADICAND}, got {d}")
     if square_free_split(d) != (1, d):
         raise argparse.ArgumentTypeError(f"must be square-free, got {d}")
     return d
@@ -659,8 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a bad command line is a JSON UsageError and exit 2
-    (SystemExit), under --json-only with nothing on stderr."""
+    """Run one command and write its report under the command's parser
+    name; a bad command line is a JSON UsageError and exit 2 (SystemExit),
+    under --json-only with nothing on stderr."""
     parser = build_parser()
     # parsed in place, so the flags before the subcommand (--json-only
     # among them) are set when a subcommand's own flags are rejected
@@ -673,10 +592,14 @@ def main(argv=None) -> int:
         _write_error(args, exc)
         parser.exit(2)
     try:
-        return args.fn(args)
+        inputs, result, summary = args.fn(args)
+        _write(args, sio.render_report(args.command, inputs, result))
     except SignstabError as exc:
         _write_error(args, exc)
         return 2 if isinstance(exc, UsageError) else 1
+    if not args.json_only:
+        print(summary, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

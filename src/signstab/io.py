@@ -70,7 +70,8 @@ def seed_from_obj(obj, where="seed") -> Seed:
     b = _expect(obj, "B", list, where)
     if not _is_int(n) or not all(_is_int(i) for i in unfrozen):
         raise FormatError(f"{where}: n and unfrozen indices must be integers")
-    if len(b) != n or any(len(row) != n for row in b):
+    if len(b) != n or any(not isinstance(row, list) or len(row) != n
+                          for row in b):
         raise FormatError(f"{where}: B is not {n}x{n}")
     if not all(_is_int(x) for row in b for x in row):
         raise FormatError(f"{where}: B entries must be integers")
@@ -98,6 +99,8 @@ def load_seed(path) -> Seed:
 def path_from_obj(obj, where="path", base_dir: Path | None = None) -> MutationPath:
     seed_obj = _expect(obj, "seed", None, where)
     if isinstance(seed_obj, dict) and "file" in seed_obj:
+        if not isinstance(seed_obj["file"], str):
+            raise FormatError(f"{where}: seed file must be a string")
         ref = Path(seed_obj["file"])
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
@@ -180,6 +183,9 @@ def matrix_from_obj(obj, where="matrix") -> tuple[tuple[Scalar, ...], ...]:
 
 def cone_from_obj(obj, where="cone") -> Cone:
     gens = _expect(obj, "generators", list, where)
+    if not gens or not all(isinstance(g, list) for g in gens):
+        raise FormatError(f"{where}: generators must be a non-empty list "
+                          "of coordinate lists")
     return Cone(tuple(tuple(parse_coord(x) for x in g) for g in gens))
 
 

@@ -20,6 +20,10 @@ Scalar = Union[Fraction, "QuadExt"]
 
 _SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
 
+# The largest radicand accepted from text: square_free_split is trial
+# division up to sqrt(d), and QuadExt repeats it on every result.
+MAX_RADICAND = 10**6
+
 
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 0 as s**2 * d with d square-free; returns (s, d)."""
@@ -263,8 +267,12 @@ def parse_scalar(text: str) -> Scalar:
     if t[root:].count("(") != 1 or not t.endswith(")"):
         raise FormatError(f"bad quadratic literal {text!r}")
     d_text = t[root + 5 : -1]
-    if not d_text.lstrip("+").isdigit():
+    if not d_text.lstrip("+").isdecimal():  # what int() accepts
         raise FormatError(f"bad radicand in {text!r}")
+    # the length first: int() refuses a very long digit string
+    if (len(d_text.lstrip("+0")) > len(str(MAX_RADICAND))
+            or int(d_text) > MAX_RADICAND):
+        raise FormatError(f"radicand in {text!r} is above {MAX_RADICAND}")
     d = int(d_text)
     head = t[:root]
     if head.endswith("*"):

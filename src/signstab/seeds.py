@@ -298,16 +298,17 @@ def _column_sign(col) -> int:
 
 def c_matrix(path: MutationPath) -> mx.Matrix:
     """C-matrix of the end vertex relative to the start (unfrozen block)."""
-    return _cg_matrices(path)[0]
+    return cg_matrices(path)[0]
 
 
 def g_matrix(path: MutationPath) -> mx.Matrix:
     """G-matrix of the end vertex relative to the start (unfrozen block)."""
-    return _cg_matrices(path)[1]
+    return cg_matrices(path)[1]
 
 
-def _cg_matrices(path: MutationPath) -> tuple[mx.Matrix, mx.Matrix]:
-    """Run the sign-coherent C/G recurrences along the path.
+def cg_matrices(path: MutationPath) -> tuple[mx.Matrix, mx.Matrix]:
+    """(C, G) of the end vertex relative to the start, from one run of the
+    sign-coherent C/G recurrences along the path.
 
     The c-vectors are the rows of C^T, carried by the path's own steps.  At
     a flip in direction k with tropical sign eps (the common sign of c_k):

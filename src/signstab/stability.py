@@ -52,6 +52,7 @@ from .tropical import (
     SignSeq,
     TropPoint,
     check_point,
+    check_strict_sign,
     is_strict,
     normalize_point,
     sign_str,
@@ -254,8 +255,7 @@ def enumerate_realizable_signs(
 
 def _cone_rows(path: MutationPath, eps: SignSeq):
     """Rows eps_nu * (row k_nu of the running linear map), one per flip."""
-    if len(eps) != path.h or not is_strict(eps):
-        raise DimensionMismatchError("need a strict sequence of length h")
+    check_strict_sign(path, eps)
     return path.compiled.branch(eps)[0]
 
 

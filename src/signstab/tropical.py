@@ -52,6 +52,19 @@ def check_point(seed: Seed, w: Sequence[Scalar]) -> TropPoint:
     return tuple(w)
 
 
+def check_strict_sign(path: MutationPath, eps: SignSeq) -> None:
+    """Require a strict sign sequence with one entry per flip of the path."""
+    if len(eps) != path.h:
+        raise DimensionMismatchError(
+            f"sign sequence length {len(eps)} differs from h = {path.h}"
+        )
+    if not is_strict(eps):
+        raise NonStrictSignError(
+            tuple(i for i, e in enumerate(eps) if e == 0),
+            "a strict sign sequence is required",
+        )
+
+
 def trop_mutate(seed: Seed, k: int, w: Sequence[Scalar]) -> TropPoint:
     """Signed tropical X-transformation at direction k:
 
@@ -88,15 +101,7 @@ def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
 def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:
     """E_gamma^eps: the product, in application order (right to left), of edge
     matrices at the recorded seeds and permutation matrices."""
-    if len(eps) != path.h:
-        raise DimensionMismatchError(
-            f"sign sequence length {len(eps)} differs from h = {path.h}"
-        )
-    if not is_strict(eps):
-        raise NonStrictSignError(
-            tuple(i for i, e in enumerate(eps) if e == 0),
-            "presentation matrix requires a strict sign sequence",
-        )
+    check_strict_sign(path, eps)
     return mx.freeze(path.compiled.branch(eps)[1])
 
 

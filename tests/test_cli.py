@@ -232,6 +232,16 @@ def test_eigencheck_rational_matrix(capsys):
     assert doc["inputs"]["matrix"] == [["1/2", 1], [0, 2]]
 
 
+# input files of test_bad_flags_give_json_errors, named in its argv
+BAD_FLAG_FILES = {
+    "TRACK": {"edges": ["e0", "e1", "e2"], "switches": [["e0", ["e1", "e2"]]]},
+    "NO_GENERATORS": {"generators": []},
+    "INT_GENERATOR": {"generators": [5]},
+    "INT_ROW_SEED": {"n": 1, "unfrozen": [0], "B": [5]},
+    "INT_SEED_FILE": {"seed": {"file": 5}, "steps": []},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["pants", "--m1", "abc", "--m2", "1", "--m3", "1"],
     ["pants", "--m1", "1", "--m2", "0.5", "--m3", "1"],
@@ -272,12 +282,21 @@ def test_eigencheck_rational_matrix(capsys):
      "--candidate", "3/2+1/2*sqrt(5)", "--radicand", "-3"],
     ["eigencheck", "--matrix", "[[1,0],[0,2]]", "--eigenvalue", "1",
      "--vector", "[1,0]", "--radicand", "4"],
+    ["compat", "--path", f"{DATA}/a2_path.json", "--cone", "NO_GENERATORS"],
+    ["compat", "--path", f"{DATA}/a2_path.json", "--cone", "INT_GENERATOR"],
+    ["mutate", "--seed", "INT_ROW_SEED", "--k", "0"],
+    ["sign", "--path", "INT_SEED_FILE", "--point", "[1]"],
+    ["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
+     "--candidate", "1+sqrt(1000000000000000003)"],
+    ["eigencheck", "--matrix", "[[1,0],[0,2]]", "--eigenvalue", "1",
+     "--vector", "[1,0]", "--radicand", "1000000000000000003"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
-    track = tmp_path / "track.json"
-    track.write_text(json.dumps({"edges": ["e0", "e1", "e2"],
-                                 "switches": [["e0", ["e1", "e2"]]]}))
-    argv = [str(track) if a == "TRACK" else a for a in argv]
+    files = {}
+    for name, obj in BAD_FLAG_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    argv = [str(files[a]) if a in files else a for a in argv]
     try:
         code = main(["--json-only", *argv])
     except SystemExit as exc:  # argparse's own usage errors
@@ -402,6 +421,29 @@ def test_stable_sign_command(capsys):
     doc = json.loads(out)
     assert doc["result"]["stable"] == "+"
     assert doc["result"]["empirical"] is True
+
+
+@pytest.mark.parametrize("path, point", [
+    ("kron3_path.json", [1, 0]),
+    ("sphere3b_path.json", "L_plus"),  # a point of sphere3b_points.json
+])
+def test_stable_sign_is_the_orbit_report_without_its_rows(capsys, data_dir,
+                                                          path, point):
+    if isinstance(point, str):
+        points = json.loads((data_dir / "sphere3b_points.json").read_text())
+        point = points[point]
+    argv = ["--path", str(data_dir / path), "--point", json.dumps(point),
+            "--iters", "30", "--window", "10"]
+    docs = {}
+    for command in ("orbit", "stable-sign"):
+        code, out, _ = run(capsys, "--json-only", command, *argv)
+        assert code == 0
+        docs[command] = json.loads(out)
+        assert docs[command]["command"] == command
+    orbit, stable = docs["orbit"], docs["stable-sign"]
+    assert stable["inputs"] == orbit["inputs"]
+    del orbit["result"]["iterations"], orbit["result"]["stabilization_index"]
+    assert stable["result"] == orbit["result"]
 
 
 def test_orbit_window_validation(capsys):

@@ -113,6 +113,14 @@ def test_parse_rejects_floats():
             parse_scalar(bad)
 
 
+def test_parse_rejects_bad_radicands():
+    assert parse_scalar("sqrt(1000000)") == 1000
+    for bad in ("sqrt(1000001)", "1+sqrt(0001000003)", "sqrt(" + "9" * 5000 + ")",
+                "sqrt(\u00b2)", "sqrt(-5)", "sqrt()"):
+        with pytest.raises(FormatError):
+            parse_scalar(bad)
+
+
 @given(
     st.fractions(min_value=-50, max_value=50, max_denominator=12),
     st.fractions(min_value=-50, max_value=50, max_denominator=12),

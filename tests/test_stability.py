@@ -7,10 +7,12 @@ import pytest
 from oracles import perm_matrix
 
 from signstab import (
+    DimensionMismatchError,
     Flip,
     IntPoly,
     LoopRequiredError,
     MutationPath,
+    NonStrictSignError,
     NotRealizableError,
     Permute,
     QuadExt,
@@ -24,6 +26,7 @@ from signstab import (
     enumerate_realizable_signs,
     enumerate_realizable_signs_with_witnesses,
     iterate_orbit,
+    presentation_matrix_for_sign,
     quad_sqrt,
     realization_witness,
     sign_cone,
@@ -158,6 +161,17 @@ def test_sign_cone_feasibility_matches():
     path = a2_path()
     assert not cone_feasible(sign_cone(path, (1, -1, 1)))
     assert cone_feasible(sign_cone(path, (-1, -1, -1)))
+
+
+@pytest.mark.parametrize("fn", [realization_witness, sign_cone,
+                                presentation_matrix_for_sign])
+def test_strict_sign_of_length_h_required(fn):
+    path = a2_path()
+    with pytest.raises(DimensionMismatchError):
+        fn(path, (1, 1))
+    with pytest.raises(NonStrictSignError) as err:
+        fn(path, (1, 0, 1))
+    assert err.value.positions == (1,)
 
 
 def test_cone_feasible_trivial():
