@@ -23,7 +23,13 @@ from .stability import (
     realizable_branches,
     spectral_radius,
 )
-from .tropical import SignSeq, TropPoint, check_point
+from .tropical import (
+    SignSeq,
+    TropPoint,
+    check_point,
+    point_from_ints,
+    point_to_ints,
+)
 from .tropical import (  # noqa: F401  (perfbench/tracing.py patches these bindings)
     presentation_matrix_for_sign,
     trop_mutate,
@@ -50,9 +56,12 @@ def generator_coordinate_trace(path: MutationPath, cone: Cone):
 
     Useful for spot-checking transported cone data against known values.
     """
-    gens = [check_point(path.initial, g) for g in cone.generators]
     compiled = path.compiled
-    walks = [compiled.walk(g, scalar_sign)[1] for g in gens]
+    walks = []
+    for g in cone.generators:
+        point, d, den = point_to_ints(check_point(path.initial, g))
+        walks.append([point_from_ints(p, d, den)
+                      for p in compiled.walk(point, d)[1]])
     return [
         [before[i][step.kp] for before in walks]
         for i, step in enumerate(compiled.steps)

@@ -18,10 +18,12 @@ from .errors import FormatError, RadicandMismatchError
 Rational = Fraction
 Scalar = Union[Fraction, "QuadExt"]
 
-_SIGN_CHARS = {1: "+", 0: "0", -1: "-"}
+_ZERO = Fraction(0)
 
 # The largest radicand accepted from text: square_free_split is trial
-# division up to sqrt(d), and QuadExt repeats it on every result.
+# division up to sqrt(d).  It runs where a radicand enters (parse_scalar,
+# --radicand, quad_sqrt and the public QuadExt constructor); arithmetic
+# results keep their operands' checked radicand without running it again.
 MAX_RADICAND = 10**6
 
 
@@ -48,6 +50,20 @@ def _is_square_free(d: int) -> bool:
     return d >= 2 and square_free_split(d) == (1, d)
 
 
+def quad_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and a square-free d >= 2.
+
+    When a and b have opposite signs, a**2 is compared with d*b**2; the two
+    are never equal for b != 0, since d is not a square.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    return -sb if a * a > d * b * b else sb
+
+
 @dataclass(frozen=True)
 class QuadExt:
     """The real number a + b*sqrt(d), exact."""
@@ -62,6 +78,18 @@ class QuadExt:
         if not _is_square_free(self.d):
             raise ValueError(f"radicand {self.d} is not square-free and >= 2")
 
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) from Fractions a, b over a radicand d that was
+        already checked, skipping the public constructor's square-free
+        test: every arithmetic result, and every point coordinate built
+        back from the integer walk (``tropical.point_from_ints``)."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "a", a)
+        object.__setattr__(q, "b", b)
+        object.__setattr__(q, "d", d)
+        return q
+
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other) -> "QuadExt":
@@ -72,7 +100,7 @@ class QuadExt:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.d)
+            return QuadExt._of(Fraction(other), _ZERO, self.d)
         return NotImplemented
 
     # -- ring/field operations --------------------------------------------
@@ -81,18 +109,18 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return QuadExt._of(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        return QuadExt._of(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -101,7 +129,7 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadExt(
+        return QuadExt._of(
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -110,7 +138,7 @@ class QuadExt:
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return QuadExt._of(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a**2 - d*b**2."""
@@ -120,7 +148,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return QuadExt._of(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -148,19 +176,10 @@ class QuadExt:
         return hash((self.a, self.b, self.d))
 
     def sign(self) -> int:
+        # a + b*sqrt(d) times the positive denominators of a and b
         a, b = self.a, self.b
-        if b == 0:
-            return _frac_sign(a)
-        if a == 0:
-            return _frac_sign(b)
-        sa, sb = _frac_sign(a), _frac_sign(b)
-        if sa == sb:
-            return sa
-        # opposite rational and irrational parts: compare a^2 against d*b^2
-        lhs, rhs = a * a, self.d * b * b
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        return quad_sign(a.numerator * b.denominator,
+                         b.numerator * a.denominator, self.d)
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -209,7 +228,7 @@ def pos_part(s: Scalar) -> Scalar:
     """max(s, 0), decided by exact sign evaluation."""
     if scalar_sign(s) > 0:
         return s
-    return Fraction(0) if not isinstance(s, QuadExt) else QuadExt(0, 0, s.d)
+    return _ZERO if not isinstance(s, QuadExt) else QuadExt._of(_ZERO, _ZERO, s.d)
 
 
 def quad_sqrt(n: int | Fraction) -> Scalar:

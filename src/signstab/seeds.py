@@ -11,6 +11,14 @@ positions, and every later walk (points, presentation products, sign
 cones, C/G-matrices, the one-step functions on a one-flip path) runs on
 it instead of mutating seeds again.  It is the one place that applies a
 flip's ``[+-b_ik]_+`` update or a relabeling, except the g-vector flip.
+
+Points walk on plain ints.  The tropical X-transformation is positively
+homogeneous of degree 1 with integer coefficients on each linear piece,
+so a point (A + B*sqrt(d))/D is carried as the integer vectors A and B,
+each flip acts on both with the same coefficients, and the sign of
+a + b*sqrt(d) is decided in integers; ``Fraction`` and ``QuadExt`` values
+are built only where a caller hands a point back (see
+:mod:`signstab.tropical`).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .errors import (
     SignCoherenceError,
     SplitViolationError,
 )
+from .scalars import quad_sign
 
 
 @dataclass(frozen=True)
@@ -220,31 +229,44 @@ class CompiledPath:
             steps.append(FlipStep(pos[step.k], ((), plus, minus)))
         return cls(len(order), tuple(steps), seeds[-1])
 
-    def walk(self, w, sign):
-        """Carry the point w (a tuple) along the path.
+    def walk(self, point, d=0):
+        """Carry an integer point along the path.
 
-        At a flip with s = sign(w_k): w'_k = -w_k and w'_i = w_i +
-        [s*b_ik]_+ * w_k.  Returns (the sign at each flip, the point before
-        each step, the end point).
+        point is (a, b, quad): the point a + b*sqrt(d) as tuples of ints,
+        with quad[i] true where coordinate i is a QuadExt (see
+        ``tropical.point_to_ints``); b and quad are None for a rational
+        point.  At a flip with s the sign of coordinate k: a'_k = -a_k and
+        a'_i = a_i + [s*b_ik]_+ * a_k, the same for b, and every coordinate
+        the flip changes becomes a QuadExt if coordinate k is one.  Returns
+        (the sign at each flip, the point before each step, the end point).
         """
+        a, b, quad = point
         signs = []
         before = []
         for step in self.steps:
-            before.append(w)
-            out = list(w)
+            before.append((a, b, quad))
             if type(step) is PermStep:
-                for i, p in enumerate(step.perm):
-                    out[p] = w[i]
+                a = _moved(a, step.perm)
+                if b is not None:
+                    b = _moved(b, step.perm)
+                    quad = _moved(quad, step.perm)
+                continue
+            kp, cols = step
+            if b is None:
+                s = (a[kp] > 0) - (a[kp] < 0)
             else:
-                kp, cols = step
-                wk = w[kp]
-                s = sign(wk)
-                signs.append(s)
-                out[kp] = -wk
-                for i, c in cols[s]:
-                    out[i] = w[i] + c * wk
-            w = tuple(out)
-        return tuple(signs), before, w
+                s = quad_sign(a[kp], b[kp], d)
+            signs.append(s)
+            col = cols[s]
+            a = _flipped(a, kp, col)
+            if b is not None:
+                b = _flipped(b, kp, col)
+                if col and quad[kp]:
+                    marked = list(quad)
+                    for i, _ in col:
+                        marked[i] = True
+                    quad = tuple(marked)
+        return tuple(signs), before, (a, b, quad)
 
     @staticmethod
     def apply_left(m: list, step: FlipStep | PermStep, eps: int = 0):
@@ -254,10 +276,7 @@ class CompiledPath:
         Rows are replaced, never mutated, so a shallow copy of m is a
         separate matrix."""
         if type(step) is PermStep:
-            out = [None] * len(m)
-            for i, p in enumerate(step.perm):
-                out[p] = m[i]
-            m[:] = out
+            m[:] = _moved(m, step.perm)
             return
         kp, cols = step
         krow = m[kp]
@@ -283,6 +302,24 @@ class CompiledPath:
                 rows.append(tuple(s * x for x in m[step.kp]))
             self.apply_left(m, step, s)
         return rows, m
+
+
+def _moved(v: tuple, perm: tuple[int, ...]) -> tuple:
+    """v relabeled: entry i moves to position perm[i]."""
+    out = [None] * len(v)
+    for i, p in enumerate(perm):
+        out[p] = v[i]
+    return tuple(out)
+
+
+def _flipped(v: tuple, kp: int, col) -> tuple:
+    """v_k -> -v_k and v_i -> v_i + c * v_k for each (i, c) in col."""
+    out = list(v)
+    vk = v[kp]
+    out[kp] = -vk
+    for i, c in col:
+        out[i] += c * vk
+    return tuple(out)
 
 
 def _column_sign(col) -> int:

@@ -3,9 +3,11 @@ enumeration of realizable sign sequences, characteristic polynomials,
 spectral radii, cluster stretch factors, and exact eigenpair checks.
 
 Every walk along a path runs on its :class:`~signstab.seeds.CompiledPath`:
-an orbit lap is ``CompiledPath.walk`` on exact scalars, and the sign
-tree, sign cones and stretch-factor table left-multiply the running
-presentation product one compiled step at a time.
+an orbit lap is ``CompiledPath.walk`` on one primitive integer point,
+divided by its gcd once per lap, with exact scalars built only for the
+lap's normalized row; the sign tree, sign cones and stretch-factor table
+left-multiply the running presentation product one compiled step at a
+time.
 
 Realizable sign sequences come from one exact search over the sign tree
 (:func:`realizable_branches`), which enumeration, the block-structure
@@ -54,9 +56,11 @@ from .tropical import (
     check_point,
     check_strict_sign,
     is_strict,
-    normalize_point,
+    normalize_ints,
+    point_to_ints,
     sign_str,
 )
+from .tropical import normalize_point  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 
 # -- orbits -------------------------------------------------------------------
@@ -86,7 +90,11 @@ def iterate_orbit(
     n_max: int,
     window: Optional[int] = None,
 ) -> OrbitReport:
-    """Iterate the loop n_max times from w, normalizing between iterations."""
+    """Iterate the loop n_max times from w, normalizing between iterations.
+
+    Each lap walks one primitive integer point (the walk commutes with
+    positive scaling) and builds exact scalars only for its normalized row.
+    """
     if not is_loop(path):
         raise LoopRequiredError("orbit iteration needs a mutation loop")
     if n_max < 1:
@@ -94,13 +102,13 @@ def iterate_orbit(
     if window is None:
         window = max(2, n_max // 2)
     w = check_point(path.initial, w)
+    point, d, _ = point_to_ints(w)
     walk = path.compiled.walk
     iterations = []
-    current = w
     for _ in range(n_max):
-        signs, _, nxt = walk(current, scalar_sign)
-        current = normalize_point(nxt)
-        iterations.append((signs, current))
+        signs, _, point = walk(point, d)
+        point, row = normalize_ints(point, d)
+        iterations.append((signs, row))
     report = OrbitReport(point=w, iterations=iterations, window=window)
     report.detected_stable = detect_stable_sign(report, window)
     weak = detect_weak_stable_sign(report, window)

@@ -1,23 +1,33 @@
 """Tropical points, the signed piecewise-linear X-transformation, transport
 along mutation paths, sign sequences, and presentation matrices.
 
-A tropical point is a tuple of exact scalars indexed by the seed's unfrozen
-indices in increasing order.  Frozen coordinates do not exist here.
+A tropical point is a tuple of exact scalars (``Fraction`` or ``QuadExt``)
+indexed by the seed's unfrozen indices in increasing order.  Frozen
+coordinates do not exist here.
 
 Every walk along a path runs on the path's
 :class:`~signstab.seeds.CompiledPath`, so the seeds along a path are built
-once, not on every call.  The one-step functions are the one-flip case:
-``trop_mutate`` is ``transport`` and ``edge_matrix`` is
-``presentation_matrix_for_sign`` on the path ``(Flip(k),)``.
+once, not on every call, and it runs on plain ints: ``point_to_ints``
+writes a point as (A + B*sqrt(d))/D with integer vectors A, B and one
+denominator D, and ``point_from_ints`` turns walked integer points back
+into exact scalars, typed as exact arithmetic would type them (a
+coordinate is a ``QuadExt`` once a ``QuadExt`` entered it).  Orbits are
+normalized on the integers too (``normalize_ints``).  The one-step
+functions are the one-flip case: ``trop_mutate`` is ``transport`` and
+``edge_matrix`` is ``presentation_matrix_for_sign`` on the path
+``(Flip(k),)``.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 from . import matrices as mx
-from .errors import DimensionMismatchError, FormatError, NonStrictSignError
-from .scalars import Scalar, scalar_sign
+from .errors import (DimensionMismatchError, FormatError, NonStrictSignError,
+                     RadicandMismatchError)
+from .scalars import QuadExt, Scalar, quad_sign
 from .seeds import Flip, MutationPath, Seed
 from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 
@@ -44,12 +54,27 @@ def is_strict(eps: SignSeq) -> bool:
     return all(e != 0 for e in eps)
 
 
+def exact_point(w: Sequence) -> TropPoint:
+    """w with every int made a Fraction; any coordinate that is not an int,
+    a Fraction or a QuadExt is a FormatError."""
+    out = []
+    for x in w:
+        if type(x) is int:
+            x = Fraction(x)
+        elif not isinstance(x, (Fraction, QuadExt)):
+            raise FormatError(f"coordinate {x!r} is not an exact scalar "
+                              "(int, Fraction or QuadExt)")
+        out.append(x)
+    return tuple(out)
+
+
 def check_point(seed: Seed, w: Sequence[Scalar]) -> TropPoint:
+    """w as an exact point of the seed's unfrozen coordinates."""
     if len(w) != seed.n_uf:
         raise DimensionMismatchError(
             f"point has {len(w)} coordinates, seed has {seed.n_uf} unfrozen"
         )
-    return tuple(w)
+    return exact_point(w)
 
 
 def check_strict_sign(path: MutationPath, eps: SignSeq) -> None:
@@ -63,6 +88,97 @@ def check_strict_sign(path: MutationPath, eps: SignSeq) -> None:
             tuple(i for i, e in enumerate(eps) if e == 0),
             "a strict sign sequence is required",
         )
+
+
+# -- integer points ---------------------------------------------------------------
+#
+# An integer point is (a, b, quad), the point a + b*sqrt(d) for a radicand d
+# kept beside it: a and b are tuples of ints and quad[i] says whether
+# coordinate i is a QuadExt; b and quad are None for a rational point.
+# CompiledPath.walk carries it along a path.  A coordinate that is not a
+# QuadExt has b_i = 0, since only a QuadExt coordinate brings sqrt(d) in.
+
+
+def point_to_ints(w: TropPoint):
+    """(integer point, d, D) with w_i = (a_i + b_i*sqrt(d)) / D and D > 0,
+    for an exact point w; d is 0 for a rational point.  Coordinates over
+    two different radicands are a RadicandMismatchError."""
+    d = 0
+    for x in w:
+        if isinstance(x, QuadExt):
+            if d and x.d != d:
+                raise RadicandMismatchError(
+                    f"cannot mix sqrt({x.d}) with sqrt({d})")
+            d = x.d
+    if not d:
+        den = math.lcm(*(x.denominator for x in w))
+        return (_scaled(w, den), None, None), 0, den
+    quad = tuple(isinstance(x, QuadExt) for x in w)
+    ra = [x.a if q else x for x, q in zip(w, quad)]
+    rb = [x.b if q else Fraction(0) for x, q in zip(w, quad)]
+    den = math.lcm(*(x.denominator for x in ra + rb))
+    return (_scaled(ra, den), _scaled(rb, den), quad), d, den
+
+
+def _scaled(xs, den: int) -> tuple[int, ...]:
+    return tuple(x.numerator * (den // x.denominator) for x in xs)
+
+
+def point_from_ints(point, d: int, den: int) -> TropPoint:
+    """The exact point (a + b*sqrt(d)) / den of an integer point."""
+    a, b, quad = point
+    if b is None:
+        return tuple(Fraction(x, den) for x in a)
+    return tuple(QuadExt._of(Fraction(x, den), Fraction(y, den), d) if q
+                 else Fraction(x, den) for x, y, q in zip(a, b, quad))
+
+
+def normalize_ints(point, d: int):
+    """(primitive point, normalized point) of an integer point.
+
+    The primitive point is the point divided by the gcd of its entries; a
+    positive scaling, so it walks to the same signs.  The normalized point
+    is x_i / |x_m|, with m the first index of largest absolute value, as
+    exact scalars: when x_m is a QuadExt every coordinate becomes one, and
+    the primitive point's quad says so for later walks.  The zero point
+    normalizes to itself.
+    """
+    a, b, quad = point
+    g = math.gcd(*a) if b is None else math.gcd(*a, *b)
+    if g == 0:
+        return point, point_from_ints(point, d, 1)
+    if g > 1:
+        a = tuple(x // g for x in a)
+        b = None if b is None else tuple(y // g for y in b)
+    if b is None:
+        top = max(map(abs, a))
+        return (a, b, quad), tuple(Fraction(x, top) for x in a)
+    # |x_i| = ua_i + ub_i*sqrt(d)
+    signs = [quad_sign(x, y, d) for x, y in zip(a, b)]
+    ua = [s * x for s, x in zip(signs, a)]
+    ub = [s * y for s, y in zip(signs, b)]
+    m = 0
+    for i in range(1, len(a)):
+        if quad_sign(ua[i] - ua[m], ub[i] - ub[m], d) > 0:
+            m = i
+    if not quad[m]:
+        return (a, b, quad), point_from_ints((a, b, quad), d, ua[m])
+    # x / |x_m| = x * (ua_m - ub_m*sqrt(d)) / (ua_m**2 - d*ub_m**2)
+    am, bm = ua[m], ub[m]
+    n = am * am - d * bm * bm
+    row = tuple(QuadExt._of(Fraction(x * am - d * y * bm, n),
+                            Fraction(y * am - x * bm, n), d)
+                for x, y in zip(a, b))
+    return (a, b, (True,) * len(a)), row
+
+
+def normalize_point(w: TropPoint) -> TropPoint:
+    """Divide by the largest absolute coordinate (exact); fixes rays."""
+    point, d, _ = point_to_ints(exact_point(w))
+    return normalize_ints(point, d)[1]
+
+
+# -- walks ------------------------------------------------------------------------
 
 
 def trop_mutate(seed: Seed, k: int, w: Sequence[Scalar]) -> TropPoint:
@@ -79,15 +195,16 @@ def transport(path: MutationPath, w: Sequence[Scalar]):
 
     Returns (final point, list of points before each step).
     """
-    w = check_point(path.initial, w)
-    _, before, end = path.compiled.walk(w, scalar_sign)
-    return end, before
+    point, d, den = point_to_ints(check_point(path.initial, w))
+    _, before, end = path.compiled.walk(point, d)
+    return (point_from_ints(end, d, den),
+            [point_from_ints(p, d, den) for p in before])
 
 
 def sign_of_path(path: MutationPath, w: Sequence[Scalar]) -> SignSeq:
     """Sign of the mutating coordinate just before each flip."""
-    w = check_point(path.initial, w)
-    return path.compiled.walk(w, scalar_sign)[0]
+    point, d, _ = point_to_ints(check_point(path.initial, w))
+    return path.compiled.walk(point, d)[0]
 
 
 def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
@@ -111,18 +228,3 @@ def presentation_matrix_at_point(path: MutationPath, w: Sequence[Scalar]) -> mx.
     if not is_strict(eps):
         raise NonStrictSignError(tuple(i for i, e in enumerate(eps) if e == 0))
     return presentation_matrix_for_sign(path, eps)
-
-
-def normalize_point(w: TropPoint) -> TropPoint:
-    """Divide by the largest absolute coordinate (exact); fixes rays."""
-    if not w:
-        return w
-    biggest = None
-    for x in w:
-        ax = -x if scalar_sign(x) < 0 else x
-        if biggest is None or scalar_sign(ax - biggest) > 0:
-            biggest = ax
-    if biggest is None or scalar_sign(biggest) == 0:
-        return w
-    return tuple(x / biggest for x in w)
-

@@ -460,6 +460,63 @@ SPHERE3B_ENUMERATION_SHA256 = (
 )
 
 
+# sha256 of reports recorded while points still walked in Fraction and
+# QuadExt arithmetic: the integer walk must keep every coordinate's value
+# and its type (a Fraction renders an integer as a JSON int, a QuadExt as a
+# string), orbit rows normalized by a QuadExt or a Fraction alike
+SPHERE3B_ORBIT_SHA256 = {
+    "l_plus": "a740fab7d1e16060c718c6930085d2a913b45ad8c9532bb4c5c8f214e41a1fa0",
+    "L_plus": "926f60447d6949ea7fc72edcee786c7030cb0a0bce1c162bc058576d67d77add",
+}
+# rational coordinates and Q(sqrt 5) ones, some of them with b = 0
+MIXED_POINT = ["2", 0, "1/2-1/2*sqrt(5)", "-3", "1+0*sqrt(5)", "sqrt(5)", -1,
+               "1/3", 0, "-2+sqrt(5)", 4, "-1/2*sqrt(5)"]
+MIXED_TRANSPORT_SHA256 = (
+    "ac21402e09f457d228dfd539b0c6ea6d2bca9b7653012a0d60f313358b06e449"
+)
+
+
+@pytest.mark.parametrize("label", sorted(SPHERE3B_ORBIT_SHA256))
+def test_sphere3b_orbit_report_is_pinned(capsys, data_dir, label):
+    points = json.loads((data_dir / "sphere3b_points.json").read_text())
+    code, out, _ = run(capsys, "--json-only", "orbit",
+                       "--path", f"{DATA}/sphere3b_path.json",
+                       "--point", json.dumps(points[label]),
+                       "--iters", "40")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == SPHERE3B_ORBIT_SHA256[label]
+
+
+def test_mixed_point_transport_trace_is_pinned(capsys):
+    code, out, _ = run(capsys, "--json-only", "transport",
+                       "--path", f"{DATA}/sphere3b_path.json",
+                       "--point", json.dumps(MIXED_POINT), "--trace")
+    assert code == 0
+    intermediates = json.loads(out)["result"]["intermediates"]
+    assert 2 in intermediates[5] and "-1" in intermediates[5]
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == MIXED_TRANSPORT_SHA256
+
+
+RADICAND_MISMATCH_REPORT = (
+    '{\n  "error": "RadicandMismatchError",\n'
+    '  "message": "cannot mix sqrt(5) with sqrt(2)",\n'
+    '  "schema_version": 1\n}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["orbit", "sign", "transport"])
+@pytest.mark.parametrize("point", [
+    '["sqrt(2)", "sqrt(5)"]',  # the radicands meet at the first flip
+    '["-sqrt(2)", "sqrt(5)"]',  # sign and transport never mix them
+])
+def test_mixed_radicands_rejected_before_the_walk(capsys, command, point):
+    code, out, err = run(capsys, "--json-only", command,
+                         "--path", f"{DATA}/kron3_path.json", "--point", point)
+    assert (code, out, err) == (1, RADICAND_MISMATCH_REPORT, "")
+
+
 def test_sphere3b_enumeration_report_is_pinned(sphere_enumeration):
     code, out, _ = sphere_enumeration
     assert code == 0

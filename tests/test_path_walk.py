@@ -4,7 +4,9 @@ The reference walk calls no signstab step function: it mutates and
 relabels B, steps points and multiplies edge matrices with the formulas
 in ``oracles``, and relabels coordinates here.  The seeds are random,
 with frozen indices and split-preserving Permute steps, and the points
-are rational or lie in Q(sqrt 5).
+are rational or lie in Q(sqrt 5).  Points are compared coordinate by
+coordinate with their types: a Fraction and a QuadExt with b = 0 are
+equal but render differently in reports.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from oracles import (
     trop_step,
 )
 
+from signstab import io as sio
 from signstab import (
     Cone,
     Flip,
@@ -29,6 +32,7 @@ from signstab import (
     Seed,
     generator_coordinate_trace,
     is_loop,
+    iterate_orbit,
     presentation_matrix_for_sign,
     scalar_sign,
     sign_of_path,
@@ -36,6 +40,7 @@ from signstab import (
 )
 
 CASES = 240
+DATA = "tests/data"
 
 
 def _random_path(rng):
@@ -71,6 +76,11 @@ def _random_scalar(rng, quadratic):
 
 def _random_point(rng, n, quadratic):
     return tuple(_random_scalar(rng, quadratic) for _ in range(n))
+
+
+def _typed(w):
+    """A point with the type of each coordinate beside its value."""
+    return tuple((type(x), x) for x in w)
 
 
 def _position_perm(order, sigma):
@@ -135,7 +145,8 @@ def test_whole_path_functions_match_step_by_step_walk():
             walks.append((before, flips))
             assert sign_of_path(path, w) == signs, case
             got_end, got_before = transport(path, w)
-            assert got_end == end and got_before == before, case
+            assert _typed(got_end) == _typed(end), case
+            assert list(map(_typed, got_before)) == list(map(_typed, before)), case
             if 0 not in signs:
                 # E^eps is the linear branch the walk took at w
                 m = presentation_matrix_for_sign(path, signs)
@@ -148,5 +159,83 @@ def test_whole_path_functions_match_step_by_step_walk():
         assert is_loop(path) == (end_b == path.initial.b)
         cone = Cone(tuple(points))
         want = [[before[i][kp] for before, _ in walks] for i, kp in walks[0][1]]
-        assert generator_coordinate_trace(path, cone) == want, case
+        got = generator_coordinate_trace(path, cone)
+        assert list(map(_typed, got)) == list(map(_typed, want)), case
     assert frozen_cases >= 50 and perm_cases >= 50
+
+
+def _normalized(w):
+    """w divided by its first coordinate of largest absolute value, by
+    exact arithmetic on the coordinates themselves; zero stays as it is."""
+    big = None
+    for x in w:
+        ax = -x if x < 0 else x
+        if big is None or ax > big:
+            big = ax
+    if big is None or big == 0:
+        return w
+    return tuple(x / big for x in w)
+
+
+def _reference_orbit(path, w, laps):
+    rows = []
+    for _ in range(laps):
+        signs, _, w, _ = _reference_walk(path, w)
+        w = _normalized(w)
+        rows.append((signs, _typed(w)))
+    return rows
+
+
+def _there_and_back(path):
+    """The path followed by its reverse: a loop with frozen indices and
+    relabelings whose tropical map is the identity."""
+    back = [s if isinstance(s, Flip) else
+            Permute(tuple(sorted(range(len(s.sigma)), key=s.sigma.__getitem__)))
+            for s in reversed(path.steps)]
+    return MutationPath(path.initial, path.steps + tuple(back))
+
+
+def _rational_top_point(rng, n):
+    """A Q(sqrt 5) point whose largest coordinate is rational."""
+    w = [QuadExt(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 5)
+         for _ in range(n)]
+    w[rng.randrange(n)] = Fraction(rng.choice((-1, 1)) * rng.randint(20, 40),
+                                   rng.randint(1, 2))
+    return tuple(w)
+
+
+def _zero_b_point(rng, n):
+    """Small integers, some of them QuadExts with b = 0: ties for the
+    largest coordinate between a Fraction and a QuadExt of one value."""
+    return tuple(QuadExt(a, 0, 5) if rng.random() < 0.5 else Fraction(a)
+                 for a in (rng.randint(-2, 2) for _ in range(n)))
+
+
+def test_orbits_match_step_by_step_walk():
+    rng = random.Random(77)
+    # a lap normalizes by a QuadExt coordinate with b = 0, and a later lap
+    # by a coordinate that no QuadExt entered during the walk
+    pinned = [(Fraction(-1), QuadExt(-1, 0, 5)), (Fraction(1), QuadExt(-2, 0, 5))]
+    loops = [(MutationPath(Seed([[0, -m], [m, 0]], frozenset({0, 1})),
+                           (Flip(0), Permute((1, 0)))), 25, pinned)
+             for m in (1, 2, 3, 4)]
+    loops.append((sio.load_path(f"{DATA}/sphere3b_path.json"), 12, []))
+    for _ in range(20):
+        loops.append((_there_and_back(_random_path(rng)), 3, []))
+    for path, laps, extra in loops:
+        assert is_loop(path)
+        n = path.initial.n_uf
+        points = extra + [
+            _random_point(rng, n, quadratic=False),
+            _random_point(rng, n, quadratic=True),
+            _rational_top_point(rng, n),
+            _rational_top_point(rng, n),
+            _zero_b_point(rng, n),
+            _zero_b_point(rng, n),
+            (Fraction(0),) * n,
+        ]
+        for w in points:
+            want = _reference_orbit(path, w, laps)
+            got = iterate_orbit(path, w, laps).iterations
+            assert [(s, _typed(p)) for s, p in got] == want, (path, w)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,9 @@ from signstab import (
     quad_sqrt,
     scalar_sign,
 )
+from signstab import scalars
 from signstab.errors import FormatError
-from signstab.scalars import square_free_split
+from signstab.scalars import quad_sign, square_free_split
 
 GOLDEN_CONJ = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)  # (1 - sqrt 5)/2
 
@@ -66,6 +69,51 @@ def test_rational_promotion():
     assert x + Fraction(1, 2) == QuadExt(Fraction(3, 2), 1, 5)
     assert 2 * x == QuadExt(2, 2, 5)
     assert QuadExt(Fraction(7, 3), 0, 5) == Fraction(7, 3)
+
+
+def test_radicand_checked_where_it_enters_only(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return square_free_split(n)
+
+    monkeypatch.setattr(scalars, "square_free_split", counted)
+    with pytest.raises(ValueError):
+        QuadExt(1, 1, 12)
+    x = QuadExt(Fraction(1, 2), Fraction(-3, 4), 999983)
+    y = parse_scalar("2-sqrt(999983)")
+    assert calls == [12, 999983, 999983, 999983]
+    # arithmetic results keep the radicand of their checked operands
+    for z in (x + y, x - 1, 2 - x, -x, x * y, 3 * x, x / y, 1 / x,
+              x.conjugate(), x.inverse(), pos_part(-x)):
+        assert isinstance(z, QuadExt) and z.d == 999983
+    assert x * x.inverse() == 1
+    assert len(calls) == 4
+
+
+def _sign_by_isqrt(a, b, d):
+    """Sign of a + b*sqrt(d), d not a square, from r = isqrt(d*b*b):
+    r < |b|*sqrt(d) < r + 1 when b != 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    r = math.isqrt(d * b * b)
+    if b > 0:
+        return 1 if a + r >= 0 else -1
+    return 1 if a - r >= 1 else -1
+
+
+def test_quad_sign_against_integer_square_roots():
+    rng = random.Random(5)
+    for _ in range(3000):
+        d = rng.choice((2, 3, 5, 6, 7, 999983))
+        b = rng.choice((rng.randint(-10**6, 10**6), rng.randint(-3, 3)))
+        near = math.isqrt(d * b * b)
+        a = rng.choice((rng.randint(-10**9, 10**9), near, near + 1, -near,
+                        -near - 1, 0))
+        assert quad_sign(a, b, d) == _sign_by_isqrt(a, b, d), (a, b, d)
+        assert scalar_sign(QuadExt(Fraction(a, 7), Fraction(b, 3), d)) \
+            == _sign_by_isqrt(3 * a, 7 * b, d)
 
 
 def test_square_free_split():

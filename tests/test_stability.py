@@ -9,6 +9,7 @@ from oracles import perm_matrix
 from signstab import (
     DimensionMismatchError,
     Flip,
+    FormatError,
     IntPoly,
     LoopRequiredError,
     MutationPath,
@@ -65,6 +66,17 @@ def test_orbit_kronecker3():
     assert points[0] == frac(1, F(-1, 3))
     assert points[1] == frac(1, F(-3, 8))
     assert report.detected_stable == (1,)
+
+
+def test_orbit_of_an_int_point_is_exact():
+    # int coordinates are exact: the rows are Fractions, never floats
+    report = iterate_orbit(kron_path(3), (1, 0), 3, window=2)
+    want = iterate_orbit(kron_path(3), frac(1, 0), 3, window=2)
+    assert report.iterations == want.iterations
+    assert all(type(x) is F for _, p in report.iterations for x in p)
+    assert report.point == frac(1, 0)
+    with pytest.raises(FormatError):
+        iterate_orbit(kron_path(3), (1.0, 0), 3)
 
 
 def test_orbit_requires_loop():

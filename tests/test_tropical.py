@@ -7,9 +7,12 @@ from oracles import det, mat_vec, trop_step
 
 from signstab import (
     Flip,
+    FormatError,
     MutationPath,
     NonStrictSignError,
     Permute,
+    QuadExt,
+    RadicandMismatchError,
     Seed,
     edge_matrix,
     parse_sign_str,
@@ -214,3 +217,42 @@ def test_linearity_on_sign_cone():
 def test_normalize_point():
     assert normalize_point(frac(2, -4)) == frac(F(1, 2), -1)
     assert normalize_point(frac(0, 0)) == frac(0, 0)
+
+
+def test_normalize_point_is_exact():
+    # int coordinates are exact: (2, 1) normalizes to (1, 1/2), not floats
+    got = normalize_point((2, 1))
+    assert got == frac(1, F(1, 2))
+    assert all(type(x) is F for x in got)
+    golden = QuadExt(F(1, 2), F(1, 2), 5)
+    got = normalize_point((golden, F(-2), 0))
+    assert got == (golden / 2, F(-1), F(0))
+    assert [type(x) for x in got] == [QuadExt, F, F]  # divided by a Fraction
+    got = normalize_point((F(1), -2 * golden))
+    assert [type(x) for x in got] == [QuadExt, QuadExt]
+    assert got[1] == -1 and got[0] * (2 * golden) == 1
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", None])
+def test_points_take_exact_coordinates_only(bad):
+    with pytest.raises(FormatError):
+        normalize_point((1, bad))
+    with pytest.raises(FormatError):
+        transport(a2_path(), (1, bad))
+    with pytest.raises(FormatError):
+        sign_of_path(a2_path(), (bad, 1))
+
+
+def test_int_coordinates_become_fractions():
+    end, before = transport(a2_path(), (1, 1))
+    assert end == frac(1, -2)
+    assert all(type(x) is F for w in (end, *before) for x in w)
+
+
+def test_two_radicands_in_one_point_rejected():
+    # the flip at 0 on its negative side never mixes the two coordinates
+    path = MutationPath(kronecker(3), (Flip(0),))
+    w = (QuadExt(0, -1, 2), QuadExt(0, 1, 5))
+    for fn in (transport, sign_of_path):
+        with pytest.raises(RadicandMismatchError):
+            fn(path, w)
