@@ -23,12 +23,12 @@ from .errors import (FormatError, RadicandMismatchError, SignstabError,
                      UsageError)
 from .matrices import identity, mat_mul, transpose
 from .reduction import (
+    cone_sign_caveat,
+    edge_compatibility,
     freeze,
     generator_coordinate_trace,
     hereditary_check,
     reduced_subsequence,
-    trace_compatibility,
-    trace_sign_caveat,
 )
 from .scalars import (MAX_RADICAND, QuadExt, format_scalar, parse_scalar,
                       square_free_split)
@@ -295,16 +295,16 @@ def cmd_eigencheck(args):
 def cmd_compat(args):
     path = sio.load_path(args.path)
     cone = sio.load_cone(args.cone)
-    trace = generator_coordinate_trace(path, cone)
-    compat = trace_compatibility(trace)
+    compat = edge_compatibility(path, cone)
     result = {
         "compatible": compat,
         "bitmask": "".join("1" if c else "0" for c in compat),
-        "mixed_sign_caveat": trace_sign_caveat(trace),
+        "mixed_sign_caveat": cone_sign_caveat(path, cone),
     }
     if args.trace:
         result["generator_coordinates"] = [
-            [sio.coord_json(v) for v in row] for row in trace
+            [sio.coord_json(v) for v in row]
+            for row in generator_coordinate_trace(path, cone)
         ]
     return ({"path": sio.path_to_obj(path), "cone": sio.cone_to_obj(cone)},
             result,

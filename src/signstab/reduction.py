@@ -4,8 +4,9 @@ checks for cluster reduction.
 
 Compatibility is tested on cone generators only: a flip direction is
 compatible when its coordinate vanishes at that vertex for every
-generator.  The reduced seed pattern itself is user input, never
-synthesized here.
+generator, read off the generators' sign sequences from the path walk
+(``sign_of_path``), with no exact scalar built.  The reduced seed pattern
+itself is user input, never synthesized here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatchError, FrozenIndexError, SplitViolationError
-from .scalars import Scalar, scalar_sign
+from .scalars import Scalar
 from .seeds import Flip, FlipStep, MutationPath, Seed
 from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 from .stability import (
@@ -23,13 +24,7 @@ from .stability import (
     realizable_branches,
     spectral_radius,
 )
-from .tropical import (
-    SignSeq,
-    TropPoint,
-    check_point,
-    point_from_ints,
-    point_to_ints,
-)
+from .tropical import SignSeq, TropPoint, check_point, sign_of_path, transport
 from .tropical import (  # noqa: F401  (perfbench/tracing.py patches these bindings)
     presentation_matrix_for_sign,
     trop_mutate,
@@ -56,45 +51,29 @@ def generator_coordinate_trace(path: MutationPath, cone: Cone):
 
     Useful for spot-checking transported cone data against known values.
     """
-    compiled = path.compiled
-    walks = []
-    for g in cone.generators:
-        point, d, den = point_to_ints(check_point(path.initial, g))
-        walks.append([point_from_ints(p, d, den)
-                      for p in compiled.walk(point, d)[1]])
+    walks = [transport(path, g)[1] for g in cone.generators]
     return [
         [before[i][step.kp] for before in walks]
-        for i, step in enumerate(compiled.steps)
+        for i, step in enumerate(path.compiled.steps)
         if type(step) is FlipStep
     ]
 
 
-def trace_compatibility(trace) -> list[bool]:
-    """Per flip of a generator coordinate trace: does the mutating
-    coordinate vanish on every generator."""
-    return [all(scalar_sign(x) == 0 for x in coords) for coords in trace]
-
-
-def trace_sign_caveat(trace) -> bool:
-    """True when the generators of a trace have differing sign sequences.
-
-    A generator's sign sequence along the path is the signs of its column
-    in the trace.  Compatibility is decided on generators; when their sign
-    histories disagree the cone straddles walls and per-generator
-    transport, while still exact, no longer describes one linear regime
-    for the whole cone.
-    """
-    return len({tuple(map(scalar_sign, col)) for col in zip(*trace)}) > 1
-
-
 def edge_compatibility(path: MutationPath, cone: Cone) -> list[bool]:
-    """Per-flip: does the mutating coordinate vanish on every generator."""
-    return trace_compatibility(generator_coordinate_trace(path, cone))
+    """Per flip: does the mutating coordinate vanish on every generator,
+    that is, is every generator's sign there 0."""
+    signs = [sign_of_path(path, g) for g in cone.generators]
+    return [not any(col) for col in zip(*signs)]
 
 
 def cone_sign_caveat(path: MutationPath, cone: Cone) -> bool:
-    """True when the generators have differing sign sequences."""
-    return trace_sign_caveat(generator_coordinate_trace(path, cone))
+    """True when the generators have differing sign sequences.
+
+    Compatibility is decided on generators; when their sign histories
+    disagree the cone straddles walls and per-generator transport, while
+    still exact, no longer describes one linear regime for the whole cone.
+    """
+    return len({sign_of_path(path, g) for g in cone.generators}) > 1
 
 
 @dataclass

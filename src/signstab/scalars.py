@@ -213,15 +213,7 @@ def scalar_sign(s: Scalar) -> int:
     """Exact sign in {+1, 0, -1} of the real number represented."""
     if isinstance(s, QuadExt):
         return s.sign()
-    return _frac_sign(Fraction(s))
-
-
-def _frac_sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (s > 0) - (s < 0)
 
 
 def pos_part(s: Scalar) -> Scalar:
@@ -263,7 +255,7 @@ def format_scalar(s: Scalar) -> str:
         if s.a == 0:
             return tail if sign == "+" else f"-{tail}"
         return f"{_format_frac(s.a)}{sign}{tail}"
-    return _format_frac(Fraction(s))
+    return _format_frac(s if isinstance(s, Fraction) else Fraction(s))
 
 
 def _parse_frac(text: str) -> Fraction:

@@ -5,12 +5,14 @@ Only skew-symmetric seeds are accepted.  Frozen rows and columns of B are
 carried along but ignored by every tropical computation, which works on
 the unfrozen block.
 
-A path is walked through its seeds once, the first time it is used: the
-walk is kept as a :class:`CompiledPath`, the path's action on unfrozen
-positions, and every later walk (points, presentation products, sign
-cones, C/G-matrices, the one-step functions on a one-flip path) runs on
-it instead of mutating seeds again.  It is the one place that applies a
-flip's ``[+-b_ik]_+`` update or a relabeling, except the g-vector flip.
+A path is compiled once, the first time it is used, into a
+:class:`CompiledPath`, the path's action on unfrozen positions: B moves
+inside its ``build``, in one in-place pass over integer rows, and
+``mutate_b`` and ``apply_perm`` are the one-step case.  Every later walk
+(points, presentation products, sign cones, C/G-matrices, the one-step
+functions on a one-flip path) runs on it.  It is the one place that
+applies a flip's ``[+-b_ik]_+`` update or a relabeling, to B or to
+anything else, except the g-vector flip.
 
 Points walk on plain ints.  The tropical X-transformation is positively
 homogeneous of degree 1 with integer coefficients on each linear piece,
@@ -117,22 +119,9 @@ class MutationPath:
 
 
 def mutate_b(seed: Seed, k: int) -> Seed:
-    """Matrix mutation in direction k (unfrozen)."""
-    seed.require_unfrozen(k)
-    b = seed.b
-    n = seed.n
-    new = [
-        [
-            -b[i][j]
-            if i == k or j == k
-            else b[i][j]
-            + max(b[i][k], 0) * max(b[k][j], 0)
-            - max(-b[i][k], 0) * max(-b[k][j], 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Seed(new, seed.unfrozen)
+    """Matrix mutation in direction k (unfrozen): the end seed of the
+    one-flip path."""
+    return MutationPath(seed, (Flip(k),)).compiled.end
 
 
 def check_split(seed: Seed, sigma: tuple[int, ...]):
@@ -146,14 +135,9 @@ def check_split(seed: Seed, sigma: tuple[int, ...]):
 
 
 def apply_perm(seed: Seed, sigma: tuple[int, ...]) -> Seed:
-    """Relabeled seed: b'_{sigma(i) sigma(j)} = b_{ij}."""
-    check_split(seed, sigma)
-    n = seed.n
-    new = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            new[sigma[i]][sigma[j]] = seed.b[i][j]
-    return Seed(new, seed.unfrozen)
+    """Relabeled seed, b'_{sigma(i) sigma(j)} = b_{ij}: the end seed of the
+    one-relabeling path."""
+    return MutationPath(seed, (Permute(sigma),)).compiled.end
 
 
 def seeds_along(path: MutationPath) -> list[Seed]:
@@ -168,13 +152,6 @@ def seeds_along(path: MutationPath) -> list[Seed]:
 def is_loop(path: MutationPath) -> bool:
     """End matrix equal to start matrix, entrywise."""
     return path.compiled.end.b == path.initial.b
-
-
-def _uf_position_perm(seed: Seed, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation induced on unfrozen coordinate positions."""
-    order = seed.unfrozen_order
-    pos = {idx: p for p, idx in enumerate(order)}
-    return tuple(pos[sigma[idx]] for idx in order)
 
 
 # -- compiled paths ------------------------------------------------------------
@@ -202,10 +179,13 @@ class PermStep(NamedTuple):
 class CompiledPath:
     """A mutation path as linear data on unfrozen positions.
 
-    Built once per path (see ``MutationPath.compiled``): one walk through
-    the seeds, with every check ``mutate_b``, ``apply_perm`` and
-    ``require_unfrozen`` make, leaves a FlipStep or PermStep per step and
-    the end seed.
+    Built once per path (see ``MutationPath.compiled``) in one pass over
+    one mutable copy of the full exchange matrix B, frozen rows included:
+    each flip checks its index is unfrozen, records its FlipStep and
+    updates only the rows with b_ik != 0; each relabeling checks the
+    unfrozen/frozen split, records its PermStep and relabels the rows and
+    columns.  The end seed is the one Seed built, so B is validated once.
+    ``mutate_b`` and ``apply_perm`` are the one-step case.
     """
 
     n: int
@@ -214,20 +194,37 @@ class CompiledPath:
 
     @classmethod
     def build(cls, path: MutationPath) -> "CompiledPath":
-        seeds = seeds_along(path)
-        order = path.initial.unfrozen_order
+        seed = path.initial
+        order = seed.unfrozen_order
         pos = {idx: p for p, idx in enumerate(order)}
+        b = [list(row) for row in seed.b]
         steps = []
-        for seed, step in zip(seeds, path.steps):
+        for step in path.steps:
             if isinstance(step, Permute):
-                steps.append(PermStep(_uf_position_perm(seed, step.sigma)))
+                sigma = step.sigma
+                check_split(seed, sigma)
+                steps.append(PermStep(tuple(pos[sigma[i]] for i in order)))
+                b = [list(_moved(row, sigma)) for row in _moved(b, sigma)]
                 continue
-            column = [(p, seed.b[i][step.k]) for p, i in enumerate(order)
-                      if i != step.k]
-            plus = tuple((p, b) for p, b in column if b > 0)
-            minus = tuple((p, -b) for p, b in column if b < 0)
-            steps.append(FlipStep(pos[step.k], ((), plus, minus)))
-        return cls(len(order), tuple(steps), seeds[-1])
+            k = step.k
+            seed.require_unfrozen(k)
+            column = [(p, b[i][k]) for p, i in enumerate(order) if i != k]
+            plus = tuple((p, x) for p, x in column if x > 0)
+            minus = tuple((p, -x) for p, x in column if x < 0)
+            steps.append(FlipStep(pos[k], ((), plus, minus)))
+            # b_ij += sgn(b_ik) * [b_ik * b_kj]_+ on the rows with b_ik != 0,
+            # then row k and column k change sign
+            krow = b[k]
+            for row in b:
+                bik = row[k]
+                if bik:
+                    for j, bkj in enumerate(krow):
+                        if bik * bkj > 0:
+                            row[j] += abs(bik) * bkj
+            b[k] = [-x for x in krow]
+            for row in b:
+                row[k] = -row[k]
+        return cls(len(order), tuple(steps), Seed(b, seed.unfrozen))
 
     def walk(self, point, d=0):
         """Carry an integer point along the path.

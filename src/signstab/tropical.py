@@ -6,8 +6,8 @@ indexed by the seed's unfrozen indices in increasing order.  Frozen
 coordinates do not exist here.
 
 Every walk along a path runs on the path's
-:class:`~signstab.seeds.CompiledPath`, so the seeds along a path are built
-once, not on every call, and it runs on plain ints: ``point_to_ints``
+:class:`~signstab.seeds.CompiledPath`, so B moves along a path once, not
+on every call, and it runs on plain ints: ``point_to_ints``
 writes a point as (A + B*sqrt(d))/D with integer vectors A, B and one
 denominator D, and ``point_from_ints`` turns walked integer points back
 into exact scalars, typed as exact arithmetic would type them (a

@@ -499,6 +499,40 @@ def test_mixed_point_transport_trace_is_pinned(capsys):
     assert digest == MIXED_TRANSPORT_SHA256
 
 
+# sha256 of reports recorded while B still moved by a whole-matrix
+# mutate_b per flip and compatibility was read off exact Fraction/QuadExt
+# coordinates: the in-place walk of B and the sign-based compatibility
+# must leave every byte as it was (the first mutate report is an error at
+# the frozen index 6, after two flips)
+SPHERE3B = ["--path", f"{DATA}/sphere3b_path.json",
+            "--cone", f"{DATA}/sphere3b_cone.json"]
+ANNULUS_SEED = ["--seed", f"{DATA}/annulus_seed.json"]
+B_WALK_REPORTS = [
+    pytest.param(["compat", *SPHERE3B, "--trace"], 0,
+                 "027b49dd710721135dc82e9698eb53e2e8ab7dd6660cce0b08a1d7e45f9740e5",
+                 id="compat-trace"),
+    pytest.param(["skeleton", *SPHERE3B], 0,
+                 "dc1c771a4d640e7c7a4c4ed912ce1cf0e234f53590d8a4a684f1d9d10491eca9",
+                 id="skeleton"),
+    pytest.param(["hereditary", *SPHERE3B, "--stable", "+++00-+--+00-+++"], 0,
+                 "7cd516a37c1ecba0e6b1b1fb6d9048dd209ba2bb38781e90f4955976feca4e21",
+                 id="hereditary"),
+    pytest.param(["mutate", *ANNULUS_SEED, "--k", "0,1,6,3"], 1,
+                 "b32ed72d7183d5bf09a0f735bf46672fab0e94b73375c225a463d88e32a361dc",
+                 id="mutate-frozen"),
+    pytest.param(["mutate", *ANNULUS_SEED, "--k", "0,1"], 0,
+                 "aeb5e5bf7127f9d74d7987f6e4f7aab3c213045e9bb9e48e26b0ff90941b8215",
+                 id="mutate"),
+]
+
+
+@pytest.mark.parametrize("argv,want_code,want_sha256", B_WALK_REPORTS)
+def test_b_walk_reports_are_pinned(capsys, argv, want_code, want_sha256):
+    code, out, _ = run(capsys, "--json-only", *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want_sha256
+
+
 RADICAND_MISMATCH_REPORT = (
     '{\n  "error": "RadicandMismatchError",\n'
     '  "message": "cannot mix sqrt(5) with sqrt(2)",\n'

@@ -30,11 +30,14 @@ from signstab import (
     Permute,
     QuadExt,
     Seed,
+    cone_sign_caveat,
+    edge_compatibility,
     generator_coordinate_trace,
     is_loop,
     iterate_orbit,
     presentation_matrix_for_sign,
     scalar_sign,
+    seeds_along,
     sign_of_path,
     transport,
 )
@@ -110,6 +113,15 @@ def _reference_walk(path, w):
     return tuple(signs), before, w, flips
 
 
+def _reference_bs(path):
+    """B at every vertex of the path, folded with the oracle formulas."""
+    bs = [path.initial.b]
+    for step in path.steps:
+        bs.append(mutated(bs[-1], step.k) if isinstance(step, Flip)
+                  else relabeled(bs[-1], step.sigma))
+    return [tuple(map(tuple, b)) for b in bs]
+
+
 def _reference_presentation(path, eps):
     """(E^eps, the end matrix B)."""
     b = path.initial.b
@@ -129,7 +141,7 @@ def _reference_presentation(path, eps):
 
 def test_whole_path_functions_match_step_by_step_walk():
     rng = random.Random(2024)
-    frozen_cases = perm_cases = 0
+    frozen_cases = perm_cases = compatible = 0
     for case in range(CASES):
         path = _random_path(rng)
         n = path.initial.n_uf
@@ -157,11 +169,22 @@ def test_whole_path_functions_match_step_by_step_walk():
             want, end_b = _reference_presentation(path, eps)
             assert presentation_matrix_for_sign(path, eps) == want, case
         assert is_loop(path) == (end_b == path.initial.b)
-        cone = Cone(tuple(points))
-        want = [[before[i][kp] for before, _ in walks] for i, kp in walks[0][1]]
-        got = generator_coordinate_trace(path, cone)
-        assert list(map(_typed, got)) == list(map(_typed, want)), case
-    assert frozen_cases >= 50 and perm_cases >= 50
+        bs = _reference_bs(path)
+        assert [s.b for s in seeds_along(path)] == bs, case
+        assert path.compiled.end.b == bs[-1], case
+        flips = walks[0][1]
+        # the four points as one cone, and the wall point alone
+        for gens, gen_walks in ((points, walks), (points[-1:], walks[-1:])):
+            cone = Cone(tuple(gens))
+            want = [[before[i][kp] for before, _ in gen_walks] for i, kp in flips]
+            got = generator_coordinate_trace(path, cone)
+            assert list(map(_typed, got)) == list(map(_typed, want)), case
+            signs = [[scalar_sign(x) for x in row] for row in want]
+            compat = [not any(row) for row in signs]
+            compatible += sum(compat)
+            assert edge_compatibility(path, cone) == compat, case
+            assert cone_sign_caveat(path, cone) == (len(set(zip(*signs))) > 1), case
+    assert frozen_cases >= 50 and perm_cases >= 50 and compatible >= 50
 
 
 def _normalized(w):

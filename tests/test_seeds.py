@@ -92,6 +92,16 @@ def test_apply_perm_split_violation():
     s = Seed([[0, 1], [-1, 0]], {0})
     with pytest.raises(SplitViolationError):
         apply_perm(s, (1, 0))
+    # a permutation of the wrong length
+    for sigma in ((0,), (0, 1, 2)):
+        with pytest.raises(SplitViolationError):
+            apply_perm(s, sigma)
+
+
+@pytest.mark.parametrize("sigma", [(0, 0), (1, 1), (0, 2)])
+def test_apply_perm_rejects_non_permutation(sigma):
+    with pytest.raises(ValueError, match="not a permutation"):
+        apply_perm(A2, sigma)
 
 
 def test_seeds_along():
