@@ -71,7 +71,7 @@ def _inline_or_file(text: str):
     if text.startswith("[") or text.startswith("{"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an over-long int
             raise FormatError(f"inline JSON is not valid: {exc}") from exc
     return sio._load_json(Path(text))
 
@@ -283,7 +283,7 @@ def cmd_eigencheck(args):
     m = _matrix_arg(args.matrix)
     lam = parse_scalar(args.eigenvalue)
     x = _point_arg(args.vector)
-    _check_radicand([lam, *x], args.radicand)
+    _check_radicand([lam, *x, *(v for row in m for v in row)], args.radicand)
     ok = verify_eigenpair(m, lam, x)
     return ({"matrix": [_point_json(row) for row in m],
              "eigenvalue": format_scalar(lam),

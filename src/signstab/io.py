@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import FormatError, FrozenIndexError, SplitViolationError
 from .reduction import Cone
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import QuadExt, Scalar, format_scalar, parse_scalar
 from .seeds import Flip, MutationPath, Permute, Seed, Triangulation, check_split
 from .traintrack import TrainTrack
 
@@ -27,7 +27,7 @@ def _load_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long int
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -56,7 +56,14 @@ def parse_coord(value) -> Scalar:
 
 
 def coord_json(value: Scalar):
-    if isinstance(value, Fraction) and value.denominator == 1:
+    """A scalar's JSON form, decided by its value alone: a JSON integer
+    when it is an integer, its exact text otherwise (so a QuadExt with
+    b = 0 renders as its rational part)."""
+    if isinstance(value, QuadExt):
+        if value.b:
+            return format_scalar(value)
+        value = value.a
+    if value.denominator == 1:
         return int(value)
     return format_scalar(value)
 

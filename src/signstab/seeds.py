@@ -229,24 +229,21 @@ class CompiledPath:
     def walk(self, point, d=0):
         """Carry an integer point along the path.
 
-        point is (a, b, quad): the point a + b*sqrt(d) as tuples of ints,
-        with quad[i] true where coordinate i is a QuadExt (see
-        ``tropical.point_to_ints``); b and quad are None for a rational
-        point.  At a flip with s the sign of coordinate k: a'_k = -a_k and
-        a'_i = a_i + [s*b_ik]_+ * a_k, the same for b, and every coordinate
-        the flip changes becomes a QuadExt if coordinate k is one.  Returns
-        (the sign at each flip, the point before each step, the end point).
+        point is (a, b): the point a + b*sqrt(d) as tuples of ints (see
+        ``tropical.point_to_ints``); b is None for a rational point.  At a
+        flip with s the sign of coordinate k: a'_k = -a_k and
+        a'_i = a_i + [s*b_ik]_+ * a_k, the same for b.  Returns (the sign
+        at each flip, the point before each step, the end point).
         """
-        a, b, quad = point
+        a, b = point
         signs = []
         before = []
         for step in self.steps:
-            before.append((a, b, quad))
+            before.append((a, b))
             if type(step) is PermStep:
                 a = _moved(a, step.perm)
                 if b is not None:
                     b = _moved(b, step.perm)
-                    quad = _moved(quad, step.perm)
                 continue
             kp, cols = step
             if b is None:
@@ -258,12 +255,7 @@ class CompiledPath:
             a = _flipped(a, kp, col)
             if b is not None:
                 b = _flipped(b, kp, col)
-                if col and quad[kp]:
-                    marked = list(quad)
-                    for i, _ in col:
-                        marked[i] = True
-                    quad = tuple(marked)
-        return tuple(signs), before, (a, b, quad)
+        return tuple(signs), before, (a, b)
 
     @staticmethod
     def apply_left(m: list, step: FlipStep | PermStep, eps: int = 0):

@@ -10,12 +10,11 @@ Every walk along a path runs on the path's
 on every call, and it runs on plain ints: ``point_to_ints``
 writes a point as (A + B*sqrt(d))/D with integer vectors A, B and one
 denominator D, and ``point_from_ints`` turns walked integer points back
-into exact scalars, typed as exact arithmetic would type them (a
-coordinate is a ``QuadExt`` once a ``QuadExt`` entered it).  Orbits are
-normalized on the integers too (``normalize_ints``).  The one-step
-functions are the one-flip case: ``trop_mutate`` is ``transport`` and
-``edge_matrix`` is ``presentation_matrix_for_sign`` on the path
-``(Flip(k),)``.
+into exact scalars: ``QuadExt``s for a point over Q(sqrt(d)),
+``Fraction``s for a rational one.  Orbits are normalized on the integers
+too (``normalize_ints``).  The one-step functions are the one-flip case:
+``trop_mutate`` is ``transport`` and ``edge_matrix`` is
+``presentation_matrix_for_sign`` on the path ``(Flip(k),)``.
 """
 
 from __future__ import annotations
@@ -92,11 +91,12 @@ def check_strict_sign(path: MutationPath, eps: SignSeq) -> None:
 
 # -- integer points ---------------------------------------------------------------
 #
-# An integer point is (a, b, quad), the point a + b*sqrt(d) for a radicand d
-# kept beside it: a and b are tuples of ints and quad[i] says whether
-# coordinate i is a QuadExt; b and quad are None for a rational point.
-# CompiledPath.walk carries it along a path.  A coordinate that is not a
-# QuadExt has b_i = 0, since only a QuadExt coordinate brings sqrt(d) in.
+# An integer point is (a, b), the point a + b*sqrt(d) for a radicand d kept
+# beside it: a and b are tuples of ints, and b is None for a rational point.
+# CompiledPath.walk carries it along a path.  Built back into exact scalars,
+# every coordinate of a point over Q(sqrt(d)) is a QuadExt and every
+# coordinate of a rational point a Fraction; a report renders each by its
+# value alone (``io.coord_json``).
 
 
 def point_to_ints(w: TropPoint):
@@ -112,12 +112,11 @@ def point_to_ints(w: TropPoint):
             d = x.d
     if not d:
         den = math.lcm(*(x.denominator for x in w))
-        return (_scaled(w, den), None, None), 0, den
-    quad = tuple(isinstance(x, QuadExt) for x in w)
-    ra = [x.a if q else x for x, q in zip(w, quad)]
-    rb = [x.b if q else Fraction(0) for x, q in zip(w, quad)]
+        return (_scaled(w, den), None), 0, den
+    ra = [x.a if isinstance(x, QuadExt) else x for x in w]
+    rb = [x.b if isinstance(x, QuadExt) else Fraction(0) for x in w]
     den = math.lcm(*(x.denominator for x in ra + rb))
-    return (_scaled(ra, den), _scaled(rb, den), quad), d, den
+    return (_scaled(ra, den), _scaled(rb, den)), d, den
 
 
 def _scaled(xs, den: int) -> tuple[int, ...]:
@@ -126,11 +125,11 @@ def _scaled(xs, den: int) -> tuple[int, ...]:
 
 def point_from_ints(point, d: int, den: int) -> TropPoint:
     """The exact point (a + b*sqrt(d)) / den of an integer point."""
-    a, b, quad = point
+    a, b = point
     if b is None:
         return tuple(Fraction(x, den) for x in a)
-    return tuple(QuadExt._of(Fraction(x, den), Fraction(y, den), d) if q
-                 else Fraction(x, den) for x, y, q in zip(a, b, quad))
+    return tuple(QuadExt._of(Fraction(x, den), Fraction(y, den), d)
+                 for x, y in zip(a, b))
 
 
 def normalize_ints(point, d: int):
@@ -139,11 +138,9 @@ def normalize_ints(point, d: int):
     The primitive point is the point divided by the gcd of its entries; a
     positive scaling, so it walks to the same signs.  The normalized point
     is x_i / |x_m|, with m the first index of largest absolute value, as
-    exact scalars: when x_m is a QuadExt every coordinate becomes one, and
-    the primitive point's quad says so for later walks.  The zero point
-    normalizes to itself.
+    exact scalars.  The zero point normalizes to itself.
     """
-    a, b, quad = point
+    a, b = point
     g = math.gcd(*a) if b is None else math.gcd(*a, *b)
     if g == 0:
         return point, point_from_ints(point, d, 1)
@@ -152,7 +149,7 @@ def normalize_ints(point, d: int):
         b = None if b is None else tuple(y // g for y in b)
     if b is None:
         top = max(map(abs, a))
-        return (a, b, quad), tuple(Fraction(x, top) for x in a)
+        return (a, b), tuple(Fraction(x, top) for x in a)
     # |x_i| = ua_i + ub_i*sqrt(d)
     signs = [quad_sign(x, y, d) for x, y in zip(a, b)]
     ua = [s * x for s, x in zip(signs, a)]
@@ -161,15 +158,13 @@ def normalize_ints(point, d: int):
     for i in range(1, len(a)):
         if quad_sign(ua[i] - ua[m], ub[i] - ub[m], d) > 0:
             m = i
-    if not quad[m]:
-        return (a, b, quad), point_from_ints((a, b, quad), d, ua[m])
     # x / |x_m| = x * (ua_m - ub_m*sqrt(d)) / (ua_m**2 - d*ub_m**2)
     am, bm = ua[m], ub[m]
     n = am * am - d * bm * bm
     row = tuple(QuadExt._of(Fraction(x * am - d * y * bm, n),
                             Fraction(y * am - x * bm, n), d)
                 for x, y in zip(a, b))
-    return (a, b, (True,) * len(a)), row
+    return (a, b), row
 
 
 def normalize_point(w: TropPoint) -> TropPoint:

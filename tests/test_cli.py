@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +241,9 @@ BAD_FLAG_FILES = {
     "INT_GENERATOR": {"generators": [5]},
     "INT_ROW_SEED": {"n": 1, "unfrozen": [0], "B": [5]},
     "INT_SEED_FILE": {"seed": {"file": 5}, "steps": []},
+    # raw bytes: json.dumps refuses an int of over 4,300 digits too
+    "LONG_INT_SEED": b'{"n": 1, "unfrozen": [0], "B": [[' + b"1" * 5000 + b"]]}",
+    "NOT_UTF8_PATH": b"\xff\xfe[1]",
 }
 
 
@@ -290,12 +295,17 @@ BAD_FLAG_FILES = {
      "--candidate", "1+sqrt(1000000000000000003)"],
     ["eigencheck", "--matrix", "[[1,0],[0,2]]", "--eigenvalue", "1",
      "--vector", "[1,0]", "--radicand", "1000000000000000003"],
+    ["mutate", "--seed", "LONG_INT_SEED", "--k", "0"],
+    ["sign", "--path", f"{DATA}/kron3_path.json",
+     "--point", "[" + "1" * 5000 + ", 1]"],
+    ["sign", "--path", "NOT_UTF8_PATH", "--point", "[1]"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}
     for name, obj in BAD_FLAG_FILES.items():
         files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps(obj))
+        files[name].write_bytes(obj if isinstance(obj, bytes)
+                                else json.dumps(obj).encode())
     argv = [str(files[a]) if a in files else a for a in argv]
     try:
         code = main(["--json-only", *argv])
@@ -308,6 +318,25 @@ def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     if "--radicand" in argv:  # a square-free d >= 2, checked by argparse
         assert code == 2 and doc["error"] == "UsageError"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
+                  "--candidate", "sqrt(2)"], id="stretch-candidate"),
+    pytest.param(["eigencheck", "--matrix", "[[1,0],[0,1]]",
+                  "--eigenvalue", "sqrt(2)", "--vector", "[0,1]"],
+                 id="eigencheck-eigenvalue"),
+    pytest.param(["eigencheck", "--matrix", "[[1,0],[0,1]]",
+                  "--eigenvalue", "1", "--vector", '["sqrt(2)",1]'],
+                 id="eigencheck-vector"),
+    pytest.param(["eigencheck", "--matrix", '[["sqrt(2)",0],[0,1]]',
+                  "--eigenvalue", "1", "--vector", "[0,1]"],
+                 id="eigencheck-matrix"),
+])
+def test_scalar_off_the_radicand_is_rejected(capsys, argv):
+    code, out, err = run(capsys, "--json-only", *argv, "--radicand", "5")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == "RadicandMismatchError"
 
 
 def test_usage_error_under_json_only_writes_only_the_report(capsys):
@@ -460,19 +489,19 @@ SPHERE3B_ENUMERATION_SHA256 = (
 )
 
 
-# sha256 of reports recorded while points still walked in Fraction and
-# QuadExt arithmetic: the integer walk must keep every coordinate's value
-# and its type (a Fraction renders an integer as a JSON int, a QuadExt as a
-# string), orbit rows normalized by a QuadExt or a Fraction alike
+# sha256 of orbit reports: l_plus recorded while points still walked in
+# Fraction and QuadExt arithmetic, L_plus since scalars render by value
+# (an integer-valued coordinate of a Q(sqrt 5) point is a JSON integer);
+# orbit rows normalized by a coordinate with b = 0 or b != 0 alike
 SPHERE3B_ORBIT_SHA256 = {
     "l_plus": "a740fab7d1e16060c718c6930085d2a913b45ad8c9532bb4c5c8f214e41a1fa0",
-    "L_plus": "926f60447d6949ea7fc72edcee786c7030cb0a0bce1c162bc058576d67d77add",
+    "L_plus": "0d1764c18df8aef0a21bacf98c8671bb3fae6c4831c7baf1b3ca648c3b83fc64",
 }
 # rational coordinates and Q(sqrt 5) ones, some of them with b = 0
 MIXED_POINT = ["2", 0, "1/2-1/2*sqrt(5)", "-3", "1+0*sqrt(5)", "sqrt(5)", -1,
                "1/3", 0, "-2+sqrt(5)", 4, "-1/2*sqrt(5)"]
 MIXED_TRANSPORT_SHA256 = (
-    "ac21402e09f457d228dfd539b0c6ea6d2bca9b7653012a0d60f313358b06e449"
+    "630b6ba236177069b202fc774eee2f589a26c68c423aa4d53acdd64b6b73538c"
 )
 
 
@@ -494,9 +523,24 @@ def test_mixed_point_transport_trace_is_pinned(capsys):
                        "--point", json.dumps(MIXED_POINT), "--trace")
     assert code == 0
     intermediates = json.loads(out)["result"]["intermediates"]
-    assert 2 in intermediates[5] and "-1" in intermediates[5]
+    assert 2 in intermediates[5] and -1 in intermediates[5]
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == MIXED_TRANSPORT_SHA256
+
+
+def test_scalars_render_by_value(capsys):
+    """A coordinate with b = 0 renders like the rational of its value."""
+    docs = []
+    for point in ('["1","-1"]', '["1+0*sqrt(5)","-1"]'):
+        code, out, _ = run(capsys, "--json-only", "transport",
+                           "--path", f"{DATA}/kron3_path.json",
+                           "--point", point, "--trace")
+        assert code == 0
+        docs.append(json.loads(out))
+    rational, quadratic = docs
+    assert quadratic["inputs"]["point"] == rational["inputs"]["point"] == [1, -1]
+    assert quadratic["result"] == rational["result"]
+    assert rational["result"]["final"] == [2, -1]
 
 
 # sha256 of reports recorded while B still moved by a whole-matrix
@@ -557,6 +601,25 @@ def test_sphere3b_enumeration_report_is_pinned(sphere_enumeration):
     assert json.loads(out)["result"]["count"] == 4772
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == SPHERE3B_ENUMERATION_SHA256
+
+
+def _readme_commands():
+    """The `signstab ...` lines of README's `## Command line` block."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = re.sub(r"\s*\\\n\s*", " ", block.split("```", 1)[0]).splitlines()
+    commands = [line for line in lines if line.startswith("signstab ")]
+    if not commands:
+        raise ValueError("no example commands found in README.md")
+    return commands
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_run(capsys, monkeypatch, line):
+    monkeypatch.chdir(SRC.parent)
+    code, out, err = run(capsys, "--json-only", *shlex.split(line)[1:])
+    assert (code, err) == (0, "")
+    json.loads(out)
 
 
 def test_numpy_is_imported_only_for_a_radius():

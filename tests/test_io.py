@@ -50,6 +50,13 @@ def test_point_roundtrip():
     assert again == w
 
 
+def test_coord_json_renders_by_value():
+    assert sio.coord_json(QuadExt(3, 0, 5)) == sio.coord_json(Fraction(3)) == 3
+    assert sio.coord_json(QuadExt(Fraction(1, 2), 0, 5)) == "1/2"
+    assert sio.coord_json(Fraction(-1, 2)) == "-1/2"
+    assert sio.coord_json(QuadExt(1, -1, 5)) == "1-sqrt(5)"
+
+
 def test_path_seed_by_reference(tmp_path):
     seed_file = tmp_path / "seed.json"
     seed_file.write_text(

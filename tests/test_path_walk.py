@@ -5,8 +5,10 @@ relabels B, steps points and multiplies edge matrices with the formulas
 in ``oracles``, and relabels coordinates here.  The seeds are random,
 with frozen indices and split-preserving Permute steps, and the points
 are rational or lie in Q(sqrt 5).  Points are compared coordinate by
-coordinate with their types: a Fraction and a QuadExt with b = 0 are
-equal but render differently in reports.
+coordinate with their types: every coordinate walked or normalized from
+a point with a QuadExt coordinate is a QuadExt, and every one from a
+rational point a Fraction, so the reference walk promotes a Q(sqrt 5)
+point to QuadExts before its first step.
 """
 
 import itertools
@@ -86,6 +88,15 @@ def _typed(w):
     return tuple((type(x), x) for x in w)
 
 
+def _promoted(w):
+    """w with every coordinate a QuadExt when one of them is."""
+    ds = {x.d for x in w if isinstance(x, QuadExt)}
+    if not ds:
+        return w
+    (d,) = ds
+    return tuple(x if isinstance(x, QuadExt) else QuadExt(x, 0, d) for x in w)
+
+
 def _position_perm(order, sigma):
     """The relabeling sigma on positions among the unfrozen indices."""
     return [order.index(sigma[idx]) for idx in order]
@@ -95,6 +106,7 @@ def _reference_walk(path, w):
     """(signs, points before each step, end point, flip positions)."""
     b = path.initial.b
     order = sorted(path.initial.unfrozen)
+    w = _promoted(w)
     signs, before, flips = [], [], []
     for step in path.steps:
         before.append(w)
@@ -237,8 +249,8 @@ def _zero_b_point(rng, n):
 
 def test_orbits_match_step_by_step_walk():
     rng = random.Random(77)
-    # a lap normalizes by a QuadExt coordinate with b = 0, and a later lap
-    # by a coordinate that no QuadExt entered during the walk
+    # Q(sqrt 5) points whose coordinates all have b = 0: every lap
+    # normalizes by a coordinate with b_m = 0, and the rows stay QuadExts
     pinned = [(Fraction(-1), QuadExt(-1, 0, 5)), (Fraction(1), QuadExt(-2, 0, 5))]
     loops = [(MutationPath(Seed([[0, -m], [m, 0]], frozenset({0, 1})),
                            (Flip(0), Permute((1, 0)))), 25, pinned)
