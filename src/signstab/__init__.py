@@ -8,6 +8,7 @@ from .errors import (
     FormatError,
     FrozenIndexError,
     LoopRequiredError,
+    MagnitudeError,
     NonStrictSignError,
     NotRealizableError,
     RadicandMismatchError,

@@ -23,15 +23,13 @@ from .errors import (FormatError, RadicandMismatchError, SignstabError,
                      UsageError)
 from .matrices import identity, mat_mul, transpose
 from .reduction import (
-    cone_sign_caveat,
-    edge_compatibility,
+    compatibility,
     freeze,
     generator_coordinate_trace,
     hereditary_check,
     reduced_subsequence,
 )
-from .scalars import (MAX_RADICAND, QuadExt, format_scalar, parse_scalar,
-                      square_free_split)
+from .scalars import MAX_RADICAND, QuadExt, parse_scalar, square_free_split
 from .seeds import (
     Flip,
     MutationPath,
@@ -270,7 +268,7 @@ def cmd_stretch(args):
         ],
         "radii_all_equal": report.radii_all_equal,
         "exact_verified": report.exact_verified,
-        "exact_value": format_scalar(report.exact_value)
+        "exact_value": sio.coord_json(report.exact_value)
         if report.exact_value is not None
         else None,
     }
@@ -286,7 +284,7 @@ def cmd_eigencheck(args):
     _check_radicand([lam, *x, *(v for row in m for v in row)], args.radicand)
     ok = verify_eigenpair(m, lam, x)
     return ({"matrix": [_point_json(row) for row in m],
-             "eigenvalue": format_scalar(lam),
+             "eigenvalue": sio.coord_json(lam),
              "vector": _point_json(x)},
             {"verified": ok},
             f"eigenpair {'verified' if ok else 'REJECTED'}")
@@ -295,11 +293,11 @@ def cmd_eigencheck(args):
 def cmd_compat(args):
     path = sio.load_path(args.path)
     cone = sio.load_cone(args.cone)
-    compat = edge_compatibility(path, cone)
+    compat, caveat = compatibility(path, cone)
     result = {
         "compatible": compat,
         "bitmask": "".join("1" if c else "0" for c in compat),
-        "mixed_sign_caveat": cone_sign_caveat(path, cone),
+        "mixed_sign_caveat": caveat,
     }
     if args.trace:
         result["generator_coordinates"] = [

@@ -47,6 +47,12 @@ class NotRealizableError(SignstabError):
     """No realizable strict completion exists for the given stable sign."""
 
 
+class MagnitudeError(SignstabError):
+    """A number too large for its float or text form: a polynomial
+    coefficient past the float range, or a report integer of over 4,300
+    digits (Python's int-to-text limit)."""
+
+
 class FormatError(SignstabError):
     """Malformed input file or scalar literal."""
 

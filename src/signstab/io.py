@@ -12,7 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError, FrozenIndexError, SplitViolationError
+from .errors import (FormatError, FrozenIndexError, MagnitudeError,
+                     SplitViolationError)
 from .reduction import Cone
 from .scalars import QuadExt, Scalar, format_scalar, parse_scalar
 from .seeds import Flip, MutationPath, Permute, Seed, Triangulation, check_split
@@ -260,11 +261,18 @@ def measure_from_obj(obj, where="measure") -> dict[str, Fraction]:
 
 
 def render_report(command: str, inputs: dict, result: dict) -> str:
-    """Deterministic JSON report: stable key order, canonical scalars."""
+    """Deterministic JSON report: stable key order, canonical scalars.  An
+    integer of over 4,300 digits, past Python's int-to-text limit, is a
+    MagnitudeError; the limit itself is left as it is."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "result": result,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # the only ValueError a report can raise
+        raise MagnitudeError(
+            "an integer in the report is past Python's int-to-text digit "
+            "limit (4,300 digits by default)") from None

@@ -59,11 +59,16 @@ def generator_coordinate_trace(path: MutationPath, cone: Cone):
     ]
 
 
+def compatibility(path: MutationPath, cone: Cone) -> tuple[list[bool], bool]:
+    """(edge_compatibility, cone_sign_caveat) from one walk per generator."""
+    signs = [sign_of_path(path, g) for g in cone.generators]
+    return [not any(col) for col in zip(*signs)], len(set(signs)) > 1
+
+
 def edge_compatibility(path: MutationPath, cone: Cone) -> list[bool]:
     """Per flip: does the mutating coordinate vanish on every generator,
     that is, is every generator's sign there 0."""
-    signs = [sign_of_path(path, g) for g in cone.generators]
-    return [not any(col) for col in zip(*signs)]
+    return compatibility(path, cone)[0]
 
 
 def cone_sign_caveat(path: MutationPath, cone: Cone) -> bool:
@@ -73,7 +78,7 @@ def cone_sign_caveat(path: MutationPath, cone: Cone) -> bool:
     disagree the cone straddles walls and per-generator transport, while
     still exact, no longer describes one linear regime for the whole cone.
     """
-    return len({sign_of_path(path, g) for g in cone.generators}) > 1
+    return compatibility(path, cone)[1]
 
 
 @dataclass

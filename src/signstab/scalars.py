@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import FormatError, RadicandMismatchError
+from .errors import FormatError, MagnitudeError, RadicandMismatchError
 
 Rational = Fraction
 Scalar = Union[Fraction, "QuadExt"]
@@ -241,7 +241,13 @@ def quad_sqrt(n: int | Fraction) -> Scalar:
 
 
 def _format_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return (str(x.numerator) if x.denominator == 1
+                else f"{x.numerator}/{x.denominator}")
+    except ValueError:  # past Python's int-to-text digit limit
+        raise MagnitudeError(
+            "a scalar's numerator or denominator is past Python's int-to-text "
+            "digit limit (4,300 digits by default)") from None
 
 
 def format_scalar(s: Scalar) -> str:

@@ -39,6 +39,7 @@ from . import matrices as mx
 from .errors import (
     DimensionMismatchError,
     LoopRequiredError,
+    MagnitudeError,
     NotRealizableError,
     SignstabError,
 )
@@ -386,7 +387,8 @@ class IntPoly:
 
 
 def char_poly(m: mx.Matrix) -> IntPoly:
-    """det(nu*I - M), exact integer coefficients (Faddeev-LeVerrier)."""
+    """det(nu*I - M), exact integer coefficients: a Hessenberg reduction
+    modulo Mersenne primes, combined by CRT (:func:`matrices.charpoly`)."""
     return IntPoly(mx.charpoly(m))
 
 
@@ -446,16 +448,23 @@ def root_radius(p: IntPoly) -> tuple[float, float]:
     first, so numpy.roots sees only simple roots.  At the top root z of the
     square-free part q, some root of q lies within deg(q) * |q(z)/q'(z)|
     of z; the bound is that distance plus a relative floor for float64
-    rounding.  A polynomial whose only root is 0 gives (0.0, 0.0).
+    rounding.  A polynomial whose only root is 0 gives (0.0, 0.0).  A
+    coefficient of q past the float range is a MagnitudeError.
     """
     import numpy as np  # here only: most commands compute no radius
 
     q = _squarefree_part(p)
-    z = max(np.roots(q.coeffs[::-1]), key=abs, default=0.0)
+    try:
+        desc = np.array(q.coeffs[::-1], dtype=float)
+    except OverflowError:
+        raise MagnitudeError(
+            "a characteristic polynomial coefficient is past the float "
+            "range, so no float spectral radius can be computed"
+        ) from None
+    z = max(np.roots(desc), key=abs, default=0.0)
     est = float(abs(z))
     if est == 0.0:
         return 0.0, 0.0
-    desc = np.array(q.coeffs[::-1], dtype=float)
     step = abs(np.polyval(desc, z) / np.polyval(np.polyder(desc), z))
     return est, q.degree * float(step) + 1e-11 * max(1.0, est)
 
@@ -496,22 +505,20 @@ def stretch_factor(
         realizable_branches(path, stable=eps_stab),
         key=lambda branch: [branch[0][i] for i in zeros],
     )
-    table, polys = [], []
-    for eps, _, matrix in branches:
-        p = char_poly(matrix)
-        rho, bound = root_radius(p)
-        table.append((eps, rho, bound))
-        polys.append(p)
-    if not table:
+    polys = [char_poly(matrix) for _, _, matrix in branches]
+    if not polys:
         raise NotRealizableError(
             f"no realizable strict completion of {sign_str(eps_stab)}"
         )
+    # one spectral pass per distinct polynomial: sphere3b's 16 signs have 3
+    radii = {p: root_radius(p) for p in set(polys)}
+    table = [(eps, *radii[p]) for (eps, _, _), p in zip(branches, polys)]
     value = max(rho for _, rho, _ in table)
     tol = max(bound for _, _, bound in table) + 1e-9
     radii_all_equal = all(abs(rho - value) <= tol for _, rho, _ in table)
     report = StretchReport(value, table, radii_all_equal)
     if candidate is not None:
-        ok = all(p(candidate) == 0 for p in polys)
+        ok = all(p(candidate) == 0 for p in radii)
         report.exact_verified = ok and abs(float(candidate) - value) <= 1e-9
         if report.exact_verified:
             report.exact_value = candidate

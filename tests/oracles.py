@@ -155,3 +155,21 @@ def det(m):
             f = a[i][c] / a[c][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return result
+
+
+def charpoly(m):
+    """Coefficients of det(nu*I - M), ascending, by Faddeev-LeVerrier over
+    the integers: M_1 = M, c_{n-1} = -tr(M_1), M_{k+1} = M (M_k + c_{n-k} I),
+    c_{n-k-1} = -tr(M_{k+1})/(k+1).  Every division is exact for an
+    integer M."""
+    n = len(m)
+    coeffs = [0] * n + [1]
+    mk = m
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert rem == 0, "non-integer characteristic coefficient"
+        coeffs[n - k] = c
+        if k < n:
+            mk = mat_mul(m, [[x + c if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(mk)])
+    return tuple(coeffs)

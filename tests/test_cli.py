@@ -245,6 +245,7 @@ BAD_FLAG_FILES = {
     "LONG_INT_SEED": b'{"n": 1, "unfrozen": [0], "B": [[' + b"1" * 5000 + b"]]}",
     "NOT_UTF8_PATH": b"\xff\xfe[1]",
 }
+NINES_400 = "9" * 400
 
 
 @pytest.mark.parametrize("argv", [
@@ -299,6 +300,7 @@ BAD_FLAG_FILES = {
     ["sign", "--path", f"{DATA}/kron3_path.json",
      "--point", "[" + "1" * 5000 + ", 1]"],
     ["sign", "--path", "NOT_UTF8_PATH", "--point", "[1]"],
+    ["charpoly", "--matrix", f"[[{NINES_400},1],[0,{NINES_400}]]"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}
@@ -337,6 +339,63 @@ def test_scalar_off_the_radicand_is_rejected(capsys, argv):
     code, out, err = run(capsys, "--json-only", *argv, "--radicand", "5")
     assert (code, err) == (1, "")
     assert json.loads(out)["error"] == "RadicandMismatchError"
+
+
+# a 3 x 3 seed with 3,000-digit entries: mutating at 1 gives b_02 + b_01 b_12,
+# a 6,000-digit entry, past the 4,300 digits an int may render to
+BIG = 10 ** 2999 + 7
+HUGE_SEED = {"n": 3, "unfrozen": [0, 1, 2],
+             "B": [[0, BIG, BIG], [-BIG, 0, BIG], [-BIG, -BIG, 0]]}
+NINES_4300 = "9" * 4300
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["charpoly", "--matrix", f"[[{NINES_400},1],[0,{NINES_400}]]"],
+                 id="charpoly-past-float-range"),
+    pytest.param(["mutate", "--seed", "HUGE_SEED", "--k", "1"],
+                 id="mutate-int-past-4300-digits"),
+    pytest.param(["transport", "--path", f"{DATA}/kron3_path.json",
+                  "--point", f'["{NINES_4300}/7", 1]'],
+                 id="transport-fraction-past-4300-digits"),
+])
+def test_oversized_numbers_are_json_errors(capsys, tmp_path, argv):
+    seed_file = tmp_path / "huge_seed.json"
+    seed_file.write_text(json.dumps(HUGE_SEED))
+    argv = [str(seed_file) if a == "HUGE_SEED" else a for a in argv]
+    code, out, err = run(capsys, "--json-only", *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == "MagnitudeError"
+
+
+def test_integer_scalars_render_as_json_integers(capsys, tmp_path):
+    """eigencheck's eigenvalue and stretch's exact_value follow coord_json."""
+    code, out, _ = run(capsys, "--json-only", "eigencheck",
+                       "--matrix", "[[1,0],[0,2]]", "--eigenvalue", "2+0*sqrt(5)",
+                       "--vector", "[0,1]")
+    assert code == 0 and json.loads(out)["inputs"]["eigenvalue"] == 2
+    # the b = 2 Kronecker loop is periodic: stretch factor 1 on the - side
+    path_file = tmp_path / "kron2.json"
+    path_file.write_text(json.dumps({
+        "seed": {"n": 2, "unfrozen": [0, 1], "B": [[0, 2], [-2, 0]]},
+        "steps": [{"flip": 0}, {"perm": [1, 0]}]}))
+    code, out, _ = run(capsys, "--json-only", "stretch", "--path", str(path_file),
+                       "--stable", "-", "--candidate", "1")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["exact_verified"] is True
+    assert result["exact_value"] == 1
+
+
+def test_compat_walks_each_generator_once(capsys, monkeypatch):
+    import signstab.reduction
+
+    calls = []
+    walk = signstab.reduction.sign_of_path
+    monkeypatch.setattr(signstab.reduction, "sign_of_path",
+                        lambda path, w: calls.append(w) or walk(path, w))
+    code, out, _ = run(capsys, "--json-only", "compat", *SPHERE3B)
+    assert code == 0
+    generators = json.loads(out)["inputs"]["cone"]["generators"]
+    assert len(calls) == len(generators) > 1
 
 
 def test_usage_error_under_json_only_writes_only_the_report(capsys):

@@ -27,6 +27,7 @@ from signstab import (
     enumerate_realizable_signs,
     enumerate_realizable_signs_with_witnesses,
     iterate_orbit,
+    parse_sign_str,
     presentation_matrix_for_sign,
     quad_sqrt,
     realization_witness,
@@ -341,6 +342,26 @@ def test_stretch_kronecker2_exactly_one():
     report = stretch_factor(kron_path(2), (1,), candidate=F(1))
     assert report.exact_verified and report.exact_value == 1
     assert abs(report.value - 1.0) <= 1e-9
+
+
+def test_stretch_takes_one_radius_per_distinct_polynomial(sphere_path,
+                                                         monkeypatch):
+    import signstab.stability
+
+    polys = []
+    radius = signstab.stability.root_radius
+    monkeypatch.setattr(signstab.stability, "root_radius",
+                        lambda p: polys.append(p) or radius(p))
+    candidate = (3 + quad_sqrt(5)) / 2
+    report = stretch_factor(sphere_path, parse_sign_str("+++00-+--+00-+++"),
+                            candidate=candidate)
+    assert len(report.table) == 16 and report.exact_verified
+    assert len(polys) == len(set(polys)) == 3
+    by_poly = {}  # each row carries its polynomial's one radius
+    for eps, rho, bound in report.table:
+        p = char_poly(presentation_matrix_for_sign(sphere_path, eps))
+        assert by_poly.setdefault(p, (rho, bound)) == (rho, bound)
+    assert set(by_poly) == set(polys)
 
 
 def test_stretch_requires_realizable_completion():
