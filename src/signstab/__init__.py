@@ -58,11 +58,9 @@ from .tropical import (
 from .stability import (
     IntPoly,
     OrbitReport,
-    SignCone,
     StretchReport,
     canonical_cone_membership,
     char_poly,
-    cone_feasible,
     detect_stable_sign,
     detect_weak_stable_sign,
     enumerate_realizable_signs,
@@ -70,7 +68,6 @@ from .stability import (
     iterate_orbit,
     realizable_branches,
     realization_witness,
-    sign_cone,
     sign_geq,
     spectral_radius,
     stretch_factor,

@@ -12,6 +12,7 @@ usage.  Errors of both kinds are JSON reports on stdout too.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -118,7 +119,8 @@ def _point_json(w):
 
 # -- subcommand handlers ---------------------------------------------------------
 #
-# Each handler returns (inputs, result, summary); main() writes the report.
+# Each handler returns (inputs, result, summary); main() writes the report,
+# then the summary: a string, or a callable that forms it.
 
 
 def cmd_mutate(args):
@@ -148,9 +150,11 @@ def cmd_transport(args):
     result = {"final": _point_json(final)}
     if args.trace:
         result["intermediates"] = [_point_json(m) for m in mids]
+    # formed after the report renders, which rejects an integer past the
+    # int-to-text digit limit
     return ({"path": sio.path_to_obj(path), "point": _point_json(w)},
             result,
-            f"transported to {_point_json(final)}")
+            lambda: f"transported to {result['final']}")
 
 
 def cmd_sign(args):
@@ -469,7 +473,10 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later one."""
     top = _Parser(
         prog="signstab",
         description="Exact tropical cluster X-dynamics and sign stability.",
@@ -596,7 +603,7 @@ def main(argv=None) -> int:
         _write_error(args, exc)
         return 2 if isinstance(exc, UsageError) else 1
     if not args.json_only:
-        print(summary, file=sys.stderr)
+        print(summary() if callable(summary) else summary, file=sys.stderr)
     return 0
 
 

@@ -5,19 +5,19 @@ spectral radii, cluster stretch factors, and exact eigenpair checks.
 Every walk along a path runs on its :class:`~signstab.seeds.CompiledPath`:
 an orbit lap is ``CompiledPath.walk`` on one primitive integer point,
 divided by its gcd once per lap, with exact scalars built only for the
-lap's normalized row; the sign tree, sign cones and stretch-factor table
-left-multiply the running presentation product one compiled step at a
-time.
+lap's normalized row; the sign tree left-multiplies the running
+presentation product one compiled step at a time.
 
 Realizable sign sequences come from one exact search over the sign tree
 (:func:`realizable_branches`), which enumeration, the block-structure
-check and the stretch-factor table all walk.  Each node keeps the
-feasibility tableau of its open cone; a child appends its one new row to
-its parent's tableau and either inherits the parent's witness or pivots
-on from the parent's basis.  An empty child leaves a Gordan multiplier
-behind, and the search keeps it: any later child whose cone holds all of
-that multiplier's rows is pruned by it, checked again exactly, without a
-solve.  Nothing is sampled, so enumeration depends on no random seed.
+check, the stretch-factor table and :func:`realization_witness` all
+walk.  Each node keeps the feasibility tableau of its open cone; a child
+appends its one new row to its parent's tableau and either inherits the
+parent's witness or pivots on from the parent's basis.  An empty child
+leaves a Gordan multiplier behind, and the search keeps it: any later
+child whose cone holds all of that multiplier's rows is pruned by it,
+checked again exactly, without a solve.  Nothing is sampled, so
+enumeration depends on no random seed.
 
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
@@ -43,12 +43,8 @@ from .errors import (
     NotRealizableError,
     SignstabError,
 )
-from .feasibility import (
-    Tableau,
-    check_gordan,
-    mixed_cone_witness,
-    open_cone_witness,
-)
+from .feasibility import Tableau, check_gordan
+from .feasibility import mixed_cone_witness, open_cone_witness  # noqa: F401  (perfbench/tracing.py patches these bindings)
 from .scalars import Scalar, scalar_sign
 from .seeds import MutationPath, PermStep, Seed, is_loop
 from .tropical import (
@@ -262,55 +258,13 @@ def enumerate_realizable_signs(
     )
 
 
-def _cone_rows(path: MutationPath, eps: SignSeq):
-    """Rows eps_nu * (row k_nu of the running linear map), one per flip."""
-    check_strict_sign(path, eps)
-    return path.compiled.branch(eps)[0]
-
-
-def sign_cone(path: MutationPath, eps: SignSeq) -> "SignCone":
-    """The open cone of points whose sign sequence along the path is eps."""
-    return SignCone(tuple((row, ">") for row in _cone_rows(path, eps)))
-
-
 def realization_witness(path: MutationPath, eps: SignSeq):
-    """A rational point whose sign sequence is exactly eps, or None."""
-    witness = open_cone_witness(_cone_rows(path, eps), path.initial.n_uf)
-    if witness is None:
-        return None
-    return tuple(Fraction(v) for v in witness)
-
-
-# -- sign cones ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignCone:
-    """Conjunction of homogeneous constraints (functional, relation)."""
-
-    constraints: tuple[tuple[tuple, str], ...]
-
-    def __post_init__(self):
-        good = {">", ">=", "="}
-        object.__setattr__(
-            self,
-            "constraints",
-            tuple((tuple(f), rel) for f, rel in self.constraints),
-        )
-        for _, rel in self.constraints:
-            if rel not in good:
-                raise ValueError(f"bad relation {rel!r}")
-
-
-def cone_feasible(cone: SignCone) -> bool:
-    """Exact feasibility of the mixed system (strict handled exactly)."""
-    if not cone.constraints:
-        return True
-    dim = len(cone.constraints[0][0])
-    strict = [f for f, rel in cone.constraints if rel == ">"]
-    weak = [f for f, rel in cone.constraints if rel == ">="]
-    eq = [f for f, rel in cone.constraints if rel == "="]
-    return mixed_cone_witness(strict, weak, eq, dim) is not None
+    """A rational point whose sign sequence is exactly eps, or None: the
+    witness of eps's one branch of the sign tree."""
+    check_strict_sign(path, eps)
+    for _, witness, _ in realizable_branches(path, stable=eps):
+        return tuple(Fraction(v) for v in witness)
+    return None
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -376,7 +330,12 @@ class IntPoly:
             if i > 0 and abs(c) == 1:
                 term = mono if c == 1 else f"-{mono}"
             else:
-                term = f"{c}" if i == 0 else f"{c}*{mono}"
+                try:
+                    term = f"{c}" if i == 0 else f"{c}*{mono}"
+                except ValueError:  # past Python's int-to-text digit limit
+                    raise MagnitudeError(
+                        "a polynomial coefficient is past Python's int-to-text "
+                        "digit limit (4,300 digits by default)") from None
             terms.append(term)
         if not terms:
             return "0"

@@ -124,7 +124,7 @@ def _scaled(xs, den: int) -> tuple[int, ...]:
 
 
 def point_from_ints(point, d: int, den: int) -> TropPoint:
-    """The exact point (a + b*sqrt(d)) / den of an integer point."""
+    """The exact point (a + b*sqrt(d)) / den of an integer point, den != 0."""
     a, b = point
     if b is None:
         return tuple(Fraction(x, den) for x in a)
@@ -148,8 +148,7 @@ def normalize_ints(point, d: int):
         a = tuple(x // g for x in a)
         b = None if b is None else tuple(y // g for y in b)
     if b is None:
-        top = max(map(abs, a))
-        return (a, b), tuple(Fraction(x, top) for x in a)
+        return (a, b), point_from_ints((a, b), d, max(map(abs, a)))
     # |x_i| = ua_i + ub_i*sqrt(d)
     signs = [quad_sign(x, y, d) for x, y in zip(a, b)]
     ua = [s * x for s, x in zip(signs, a)]
@@ -158,13 +157,12 @@ def normalize_ints(point, d: int):
     for i in range(1, len(a)):
         if quad_sign(ua[i] - ua[m], ub[i] - ub[m], d) > 0:
             m = i
-    # x / |x_m| = x * (ua_m - ub_m*sqrt(d)) / (ua_m**2 - d*ub_m**2)
+    # x / |x_m| = x * (ua_m - ub_m*sqrt(d)) / (ua_m**2 - d*ub_m**2); the
+    # denominator may be negative, and Fraction normalizes its sign
     am, bm = ua[m], ub[m]
-    n = am * am - d * bm * bm
-    row = tuple(QuadExt._of(Fraction(x * am - d * y * bm, n),
-                            Fraction(y * am - x * bm, n), d)
-                for x, y in zip(a, b))
-    return (a, b), row
+    scaled = (tuple(x * am - d * y * bm for x, y in zip(a, b)),
+              tuple(y * am - x * bm for x, y in zip(a, b)))
+    return (a, b), point_from_ints(scaled, d, am * am - d * bm * bm)
 
 
 def normalize_point(w: TropPoint) -> TropPoint:

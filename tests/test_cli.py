@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from signstab.cli import main
+from signstab.cli import build_parser, main
 
 DATA = "tests/data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -357,6 +357,14 @@ NINES_4300 = "9" * 4300
     pytest.param(["transport", "--path", f"{DATA}/kron3_path.json",
                   "--point", f'["{NINES_4300}/7", 1]'],
                  id="transport-fraction-past-4300-digits"),
+    pytest.param(["transport", "--path", f"{DATA}/kron3_path.json",
+                  "--point", f"[{NINES_4300}, {NINES_4300}]"],
+                 id="transport-int-past-4300-digits"),
+    # det(nu*I - 10^300*I) has the 4,501-digit constant term 10^4500; its
+    # radius, 10^300, is still a float
+    pytest.param(["charpoly", "--matrix", json.dumps(
+        [[10 ** 300 * (i == j) for j in range(15)] for i in range(15)])],
+                 id="charpoly-coefficient-past-4300-digits"),
 ])
 def test_oversized_numbers_are_json_errors(capsys, tmp_path, argv):
     seed_file = tmp_path / "huge_seed.json"
@@ -365,6 +373,34 @@ def test_oversized_numbers_are_json_errors(capsys, tmp_path, argv):
     code, out, err = run(capsys, "--json-only", *argv)
     assert (code, err) == (1, "")
     assert json.loads(out)["error"] == "MagnitudeError"
+
+
+def test_one_process_runs_commands_like_fresh_ones(capsys):
+    """The parser is built once per process: a usage error, a good command
+    and a domain error in one process each give the stdout, stderr and exit
+    code of a fresh process."""
+    commands = [
+        ["orbit", "--path", f"{DATA}/a2_path.json"],
+        ["transport", "--path", f"{DATA}/a2_path.json", "--point", "[1,1]"],
+        ["presentation", "--path", f"{DATA}/a2_path.json", "--sign", "+0+"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    codes = []
+    for argv in commands:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "signstab", *argv],
+                               capture_output=True, text=True, env=env,
+                               cwd=SRC.parent, timeout=120)
+        assert (codes[-1], out.out, out.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+    assert codes == [2, 0, 1]
+    assert build_parser() is build_parser()
 
 
 def test_integer_scalars_render_as_json_integers(capsys, tmp_path):

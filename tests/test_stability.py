@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,10 +20,8 @@ from signstab import (
     Permute,
     QuadExt,
     Seed,
-    SignCone,
     canonical_cone_membership,
     char_poly,
-    cone_feasible,
     detect_stable_sign,
     detect_weak_stable_sign,
     enumerate_realizable_signs,
@@ -30,14 +30,16 @@ from signstab import (
     parse_sign_str,
     presentation_matrix_for_sign,
     quad_sqrt,
+    realizable_branches,
     realization_witness,
-    sign_cone,
     sign_geq,
     sign_of_path,
     spectral_radius,
     stretch_factor,
     verify_eigenpair,
 )
+from signstab import io as sio
+from signstab.cli import main
 
 from test_seeds import A2, kronecker
 
@@ -170,13 +172,52 @@ def test_realization_witness():
     assert w is not None and sign_of_path(path, w) == (1, 1, -1)
 
 
-def test_sign_cone_feasibility_matches():
+@pytest.mark.parametrize("path", [a2_path(), kron_path(3)], ids=["a2", "kron3"])
+def test_realization_witness_is_the_trees_witness(path):
+    found = enumerate_realizable_signs_with_witnesses(path)
+    assert found
+    for eps, w in found.items():
+        assert realization_witness(path, eps) == w
+
+
+def test_realization_witness_none_on_unrealizable_a2_signs():
     path = a2_path()
-    assert not cone_feasible(sign_cone(path, (1, -1, 1)))
-    assert cone_feasible(sign_cone(path, (-1, -1, -1)))
+    found = enumerate_realizable_signs(path)
+    missing = set(itertools.product((1, -1), repeat=3)) - found
+    assert len(missing) == 3
+    for eps in missing:
+        assert realization_witness(path, eps) is None
 
 
-@pytest.mark.parametrize("fn", [realization_witness, sign_cone,
+def test_realization_witness_on_sphere3b_completions(sphere_path):
+    stable = parse_sign_str("+++00-+--+00-+++")
+    branches = list(realizable_branches(sphere_path, stable))
+    assert len(branches) == 16  # every strict completion is realizable
+    for eps, w, _ in branches:
+        assert realization_witness(sphere_path, eps) == tuple(map(Fraction, w))
+
+
+def test_realization_witness_on_sampled_sphere3b_signs(sphere_path,
+                                                       sphere_enumeration):
+    code, out, _ = sphere_enumeration
+    assert code == 0
+    witnesses = json.loads(out)["result"]["witnesses"]
+    assert len(witnesses) == 4772
+    for text in random.Random(15).sample(sorted(witnesses), 200):
+        w = realization_witness(sphere_path, parse_sign_str(text))
+        assert w == sio.point_from_obj(witnesses[text])
+
+
+def test_realization_witness_on_a_flip_free_path(capsys, data_dir):
+    path_file = str(data_dir / "empty_path.json")
+    assert main(["--json-only", "signs-enumerate", "--path", path_file]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["result"]["witnesses"]
+    w = realization_witness(sio.load_path(path_file), ())
+    assert list(witnesses) == [""]
+    assert w == sio.point_from_obj(witnesses[""])
+
+
+@pytest.mark.parametrize("fn", [realization_witness,
                                 presentation_matrix_for_sign])
 def test_strict_sign_of_length_h_required(fn):
     path = a2_path()
@@ -185,12 +226,6 @@ def test_strict_sign_of_length_h_required(fn):
     with pytest.raises(NonStrictSignError) as err:
         fn(path, (1, 0, 1))
     assert err.value.positions == (1,)
-
-
-def test_cone_feasible_trivial():
-    assert not cone_feasible(SignCone((((1, 0), ">"), ((-1, 0), ">"))))
-    assert cone_feasible(SignCone((((1, 0), ">"), ((0, 1), ">"))))
-    assert cone_feasible(SignCone(()))
 
 
 # -- polynomials -----------------------------------------------------------------
