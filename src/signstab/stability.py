@@ -21,8 +21,10 @@ enumeration depends on no random seed.
 
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
-floats enter only when numpy finds the roots of the square-free part
-(numpy is imported on the first radius, not by ``import signstab``).
+floats enter only at the roots of the square-free part.  The root of a
+square-free part of degree 1 is an exact integer; numpy finds the roots
+of any other, and is imported on the first radius that needs a float
+root, not by ``import signstab``.
 Floats are never used for sign decisions; exactness claims are routed
 through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 """
@@ -407,19 +409,25 @@ def root_radius(p: IntPoly) -> tuple[float, float]:
     first, so numpy.roots sees only simple roots.  At the top root z of the
     square-free part q, some root of q lies within deg(q) * |q(z)/q'(z)|
     of z; the bound is that distance plus a relative floor for float64
-    rounding.  A polynomial whose only root is 0 gives (0.0, 0.0).  A
-    coefficient of q past the float range is a MagnitudeError.
+    rounding.  When q has degree 1 it is nu + c, its one root -c is exact
+    and numpy is not needed: the distance is 0 and the bound is the floor
+    alone, the same pair numpy gives.  A polynomial whose only root is 0
+    gives (0.0, 0.0).  A coefficient of q past the float range is a
+    MagnitudeError.
     """
-    import numpy as np  # here only: most commands compute no radius
-
     q = _squarefree_part(p)
     try:
-        desc = np.array(q.coeffs[::-1], dtype=float)
+        desc = [float(c) for c in reversed(q.coeffs)]
     except OverflowError:
         raise MagnitudeError(
             "a characteristic polynomial coefficient is past the float "
             "range, so no float spectral radius can be computed"
         ) from None
+    if q.degree == 1:  # q = nu + c, whose one root -c is exact
+        est = abs(desc[1])
+        return (est, 1e-11 * max(1.0, est)) if est else (0.0, 0.0)
+    import numpy as np  # here only: most commands need no float root
+
     z = max(np.roots(desc), key=abs, default=0.0)
     est = float(abs(z))
     if est == 0.0:

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; plain `pytest` just checks them.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -360,11 +361,17 @@ def _random_block_case(rng):
 
 def test_criterion_12_block_structure():
     rng = random.Random(31)
+    digest = hashlib.sha256()
     for _ in range(100):
         path, frozen_out = _random_block_case(rng)
         report = block_structure_check(path, frozen_out, tolerance=1e-9)
         assert report.zero_block_exact
         assert report.max_radius_diff <= 1e-9
+        digest.update(repr((report.sign_count, report.max_radius_diff,
+                            report.details)).encode())
+    # pins every radius bit for bit: a faster radius path must not move one
+    assert digest.hexdigest() == (
+        "b6de76f2fa55a4cafd521804054ec6f86cee7d141e86b7c70b624341518bc7c7")
     ok(12, "100 random frozen-block loops: (J,K) block exactly zero and "
            "rho(E) = rho(E|_J) within 1e-9 for every realizable sign")
 

@@ -21,6 +21,7 @@ from signstab import (
     hereditary_check,
     mutate_b,
     permutation_factor_check,
+    presentation_matrix_for_sign,
     project_point,
     reduced_subsequence,
     sign_of_path,
@@ -149,6 +150,28 @@ def test_block_structure_kronecker_example():
     by_sign = {eps: (rho_full, rho_j) for eps, rho_full, rho_j in report.details}
     assert abs(by_sign[(1,)][0] - golden) <= 1e-9
     assert abs(by_sign[(1,)][1] - golden) <= 1e-9
+
+
+def test_block_structure_takes_one_radius_per_distinct_matrix(monkeypatch):
+    import signstab.reduction
+
+    matrices = []
+    radius = signstab.reduction.spectral_radius
+    monkeypatch.setattr(signstab.reduction, "spectral_radius",
+                        lambda m: matrices.append(m) or radius(m))
+    # a palindrome and then one Kronecker lap: 4 signs, 2 E's, 2 E_J's
+    steps = (Flip(0), Flip(1), Flip(1), Flip(0), Flip(0), Permute((1, 0, 2, 3)))
+    path = MutationPath(block_seed(3, 2), steps)
+    report = block_structure_check(path, frozen_out=(2, 3))
+    assert report.ok and report.sign_count == 4
+    distinct = set()
+    for eps, rho_full, rho_j in report.details:
+        e = presentation_matrix_for_sign(path, eps)
+        e_j = tuple(tuple(row[:2]) for row in e[:2])
+        distinct |= {e, e_j}
+        assert (rho_full, rho_j) == (radius(e)[0], radius(e_j)[0])
+    assert len(matrices) == len(set(matrices)) == len(distinct) == 4
+    assert set(matrices) == distinct
 
 
 def test_block_structure_no_flips():

@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from signstab import (
     FormatError,
     IntPoly,
     LoopRequiredError,
+    MagnitudeError,
     MutationPath,
     NonStrictSignError,
     NotRealizableError,
@@ -292,6 +297,48 @@ def test_spectral_radius_companion_of_printed_factors():
     # companion matrix of nu^2 - 3nu + 1
     rho, _ = spectral_radius(((0, -1), (1, 3)))
     assert abs(rho - (3 + 5 ** 0.5) / 2) <= 1e-9
+
+
+@pytest.mark.parametrize("a", [0, 1, -1, 7, -7, 2 ** 53 + 1, -(2 ** 70 + 5)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_root_radius_of_one_repeated_root_is_exact(a, k):
+    import numpy as np
+
+    from signstab.stability import root_radius
+
+    p = IntPoly((1,))
+    for _ in range(k):
+        p = p * IntPoly((-a, 1))
+    # the square-free part is nu - a: numpy's root of it is exact
+    est = float(abs(max(np.roots([1.0, float(-a)]), key=abs, default=0.0)))
+    assert est == float(abs(a))
+    expected = (est, 1e-11 * max(1.0, est)) if a else (0.0, 0.0)
+    assert root_radius(p) == expected
+
+
+def test_root_radius_of_a_linear_part_past_the_float_range():
+    from signstab.stability import root_radius
+
+    a = 10 ** 999
+    with pytest.raises(MagnitudeError):
+        root_radius(IntPoly((-a, 1)) * IntPoly((-a, 1)))
+
+
+def test_linear_squarefree_radius_loads_no_numpy():
+    code = """
+import io, sys, contextlib
+from signstab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--json-only", "charpoly", "--matrix", "[[2,1],[0,2]]"]) == 0
+assert "numpy" not in sys.modules, "a linear square-free part loaded numpy"
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def _conjugated_block_triangular(rng):
