@@ -22,9 +22,9 @@ enumeration depends on no random seed.
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
 floats enter only at the roots of the square-free part.  The root of a
-square-free part of degree 1 is an exact integer; numpy finds the roots
-of any other, and is imported on the first radius that needs a float
-root, not by ``import signstab``.
+square-free part of degree 1 is an exact integer; a pure-Python
+Aberth-Ehrlich iteration finds the roots of any other, and Newton steps
+in exact arithmetic polish the top one (see :func:`root_radius`).
 Floats are never used for sign decisions; exactness claims are routed
 through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 """
@@ -402,38 +402,138 @@ def _squarefree_part(p: IntPoly) -> IntPoly:
     return IntPoly(_primitive(a)).divides_into(p)
 
 
+def _aberth_roots(coeffs, radius):
+    """All roots of a square-free polynomial by the Aberth-Ehrlich iteration
+    (Aberth 1973; Ehrlich 1967) in complex floats, from a circle of the
+    given radius.  coeffs are descending and coeffs[0] is 1.  A root is
+    updated in place until its own correction is below 1e-15 of
+    max(1, modulus), or is below 1e-8 of it and no smaller than its last
+    one: then the correction is rounding noise, and iterating on would only
+    circle."""
+    n = len(coeffs) - 1
+    tail = coeffs[1:]
+    last = [math.inf] * n
+    # the angle offset keeps the start off the real axis and not symmetric
+    # under conjugation, where real coefficients would trap an iterate
+    z = [radius * complex(math.cos(t), math.sin(t))
+         for t in (2 * math.pi * j / n + 0.4 for j in range(n))]
+    active = range(n)
+    for _ in range(100):
+        moving = []
+        for j in active:
+            zj = z[j]
+            p, dp = 1.0, 0.0
+            for c in tail:  # p = q(zj) and dp = q'(zj) in one Horner pass
+                dp = dp * zj + p
+                p = p * zj + c
+            if p == 0:
+                continue
+            # sum of 1 / (zj - zk) over the other roots: a zero difference
+            # is zj itself
+            pull = sum([1 / d for zk in z if (d := zj - zk)])
+            w = p / (dp - p * pull)
+            z[j] = zj - w
+            size, step = max(1.0, abs(zj)), abs(w)
+            noise = step < 1e-8 * size and step >= last[j]
+            if step > 1e-15 * size and not noise:
+                moving.append(j)
+            last[j] = step
+        if not moving:
+            break
+        active = moving
+    return z
+
+
+def _polish(coeffs, z, s):
+    """Newton steps on q from its root near 2^s z, in exact Gaussian-integer
+    arithmetic on a grid 80 bits below |z|: the point is 2^g (x + iy), and
+    each step is rounded to the grid once, so no Horner rounding enters.
+    Keeps the iterate with the smallest |q|; returns its modulus, correctly
+    rounded, and the length of its Newton step |q/q'|."""
+    n = len(coeffs) - 1
+    e = math.frexp(abs(z))[1] - 80
+    x, y = round(math.ldexp(z.real, -e)), round(math.ldexp(z.imag, -e))
+    g = e + s
+    # Horner on b at x + iy gives a = t q(2^g (x + iy)) and da = t 2^g q'(..)
+    # for one power of two t, so a / da is the Newton step in grid units
+    if g >= 0:
+        b = [c << g * k for k, c in enumerate(coeffs)]
+    else:
+        b = [c << -g * (n - k) for k, c in enumerate(coeffs)]
+    best = None
+    for _ in range(4):
+        ar, ai, dr, di = b[-1], 0, 0, 0
+        for c in reversed(b[:-1]):
+            dr, di = dr * x - di * y + ar, dr * y + di * x + ai
+            ar, ai = ar * x - ai * y + c, ar * y + ai * x
+        den = dr * dr + di * di
+        sr, si = ar * dr + ai * di, ai * dr - ar * di  # the step times den
+        if best is None or ar * ar + ai * ai < best[0]:
+            best = ar * ar + ai * ai, x, y, sr, si, den
+        ur, ui = (2 * sr + den) // (2 * den), (2 * si + den) // (2 * den)
+        if not (ur or ui):
+            break
+        x, y = x - ur, y - ui
+    _, x, y, sr, si, den = best
+    r = math.isqrt(x * x + y * y)
+    if r * r == x * x + y * y:
+        modulus = math.ldexp(r, g)
+    else:  # a sticky bit below r makes the one rounding to float correct
+        modulus = math.ldexp(2 * r + 1, g - 1)
+    return modulus, math.ldexp(abs(complex(sr / den, si / den)), g)
+
+
 def root_radius(p: IntPoly) -> tuple[float, float]:
     """Largest root modulus of the monic integer polynomial p.
 
     Returns (estimate, reported bound).  Repeated roots are removed exactly
-    first, so numpy.roots sees only simple roots.  At the top root z of the
-    square-free part q, some root of q lies within deg(q) * |q(z)/q'(z)|
-    of z; the bound is that distance plus a relative floor for float64
-    rounding.  When q has degree 1 it is nu + c, its one root -c is exact
-    and numpy is not needed: the distance is 0 and the bound is the floor
-    alone, the same pair numpy gives.  A polynomial whose only root is 0
-    gives (0.0, 0.0).  A coefficient of q past the float range is a
-    MagnitudeError.
+    first, so the root finder sees only the simple roots of the square-free
+    part q.  When q has degree 1 it is nu + c, whose one root -c is exact:
+    the estimate is |c| and the bound is the relative floor below alone.
+    A polynomial whose only root is 0 gives (0.0, 0.0).
+
+    Otherwise q is rescaled exactly by a power of two 2^s, picked from the
+    Fujiwara bound, so that its roots have modulus near 1 and Horner's rule
+    does not overflow.  The Aberth-Ehrlich iteration, started on a circle of
+    half the Fujiwara bound, proposes every root in complex floats; Newton
+    steps in exact arithmetic polish the top one, keeping the iterate z with
+    the smallest |q(z)|, and its modulus is rounded once.  Some root of q
+    lies within deg(q) * |q(z)/q'(z)| of z; the bound is that distance plus
+    the floor 1e-11 * max(1, estimate) for float64 rounding.
+
+    A coefficient of q past the float range, or a radius or bound that
+    overflows, is a MagnitudeError: the result is never NaN or infinite.
     """
     q = _squarefree_part(p)
+    n = q.degree
     try:
-        desc = [float(c) for c in reversed(q.coeffs)]
+        coeffs = [float(c) for c in q.coeffs]
+        if n < 2:  # q = 1, or q = nu + c, whose one root -c is exact
+            est = abs(coeffs[0]) if n else 0.0
+            return (est, 1e-11 * max(1.0, est)) if est else (0.0, 0.0)
+        # 2^s is at most max |a_k|^(1/(n-k)), and within a factor 4 of it,
+        # so the roots of q(2^s nu) / 2^(sn) have modulus between 1/n and 8
+        s = max((abs(a).bit_length() - 1) // (n - k)
+                for k, a in enumerate(q.coeffs[:-1]))
+        desc = [math.ldexp(c, s * (k - n)) for k, c in enumerate(coeffs)][::-1]
+        # every root lies within twice this radius (Fujiwara's bound)
+        radius = max(abs(c / (2 if k == n else 1)) ** (1 / k)
+                     for k, c in enumerate(desc[1:], 1))
+        roots = _aberth_roots(desc, radius)
+        if not math.isfinite(sum(map(abs, roots))):
+            # possible only at a degree in the hundreds: 4^n > 1e308
+            raise OverflowError("Horner's rule overflowed")
+        est, step = _polish(q.coeffs, max(roots, key=abs), s)
+        bound = n * step + 1e-11 * max(1.0, est)
     except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
         raise MagnitudeError(
-            "a characteristic polynomial coefficient is past the float "
-            "range, so no float spectral radius can be computed"
-        ) from None
-    if q.degree == 1:  # q = nu + c, whose one root -c is exact
-        est = abs(desc[1])
-        return (est, 1e-11 * max(1.0, est)) if est else (0.0, 0.0)
-    import numpy as np  # here only: most commands need no float root
-
-    z = max(np.roots(desc), key=abs, default=0.0)
-    est = float(abs(z))
-    if est == 0.0:
-        return 0.0, 0.0
-    step = abs(np.polyval(desc, z) / np.polyval(np.polyder(desc), z))
-    return est, q.degree * float(step) + 1e-11 * max(1.0, est)
+            "a characteristic polynomial coefficient or its spectral radius "
+            "is past the float range, so no float spectral radius can be "
+            "computed"
+        )
+    return est, bound
 
 
 def spectral_radius(m: mx.Matrix) -> tuple[float, float]:

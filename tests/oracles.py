@@ -4,6 +4,7 @@ Nothing here imports signstab: these are the independent oracles the
 engine's answers are checked against.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -173,3 +174,39 @@ def charpoly(m):
             mk = mat_mul(m, [[x + c if i == j else x for j, x in enumerate(row)]
                              for i, row in enumerate(mk)])
     return tuple(coeffs)
+
+
+def poly_with_top_modulus(factors):
+    """A monic integer polynomial built from known factors, as ascending
+    coefficients, and its largest root modulus as a 50-digit Decimal.
+
+    A factor is ("root", a) for nu - a; ("real", b, c) for nu^2 - b nu + c
+    with b^2 > 4c, whose roots (b +- sqrt(b^2 - 4c))/2 are real; or
+    ("pair", c) for nu^2 + c with c > 0, whose roots +-i sqrt(c) have
+    modulus sqrt(c)."""
+    coeffs, top = (1,), Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for kind, *args in factors:
+            if kind == "root":
+                (a,) = args
+                factor, modulus = (-a, 1), Decimal(abs(a))
+            elif kind == "real":
+                b, c = args
+                if b * b <= 4 * c:
+                    raise ValueError("a real quadratic needs b^2 > 4c")
+                factor = (c, -b, 1)
+                modulus = (abs(b) + Decimal(b * b - 4 * c).sqrt()) / 2
+            elif kind == "pair":
+                (c,) = args
+                if c <= 0:
+                    raise ValueError("a complex pair needs c > 0")
+                factor, modulus = (c, 0, 1), Decimal(c).sqrt()
+            else:
+                raise ValueError(f"unknown factor kind {kind!r}")
+            out = [0] * (len(coeffs) + len(factor) - 1)
+            for i, x in enumerate(coeffs):
+                for j, y in enumerate(factor):
+                    out[i + j] += x * y
+            coeffs, top = tuple(out), max(top, modulus)
+    return coeffs, top

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,20 @@ def test_charpoly_command(capsys):
     assert abs(doc["result"]["spectral_radius"] - 2.6180339887) < 1e-9
 
 
+def test_charpoly_radius_near_the_float_limit_is_finite_json(capsys):
+    """nu^2 - 10^200 nu + 1 has its top root near 10^200, where Horner's rule
+    on the unscaled polynomial overflows; the report holds finite numbers."""
+    def no_constant(name):
+        raise ValueError(f"report holds {name}")
+
+    code, out, _ = run(capsys, "--json-only", "charpoly",
+                       "--matrix", f"[[0,-1],[1,{10 ** 200}]]")
+    assert code == 0
+    result = json.loads(out, parse_constant=no_constant)["result"]
+    rho, bound = result["spectral_radius"], result["radius_bound"]
+    assert abs(Fraction(rho) - 10 ** 200) <= bound
+
+
 def test_eigencheck_command(capsys):
     code, out, _ = run(
         capsys, "--json-only", "eigencheck",
@@ -352,6 +367,9 @@ NINES_4300 = "9" * 4300
 @pytest.mark.parametrize("argv", [
     pytest.param(["charpoly", "--matrix", f"[[{NINES_400},1],[0,{NINES_400}]]"],
                  id="charpoly-past-float-range"),
+    # nu^2 - 10^400 nu + 1: a square-free part of degree 2 past the float range
+    pytest.param(["charpoly", "--matrix", f"[[0,-1],[1,{10 ** 400}]]"],
+                 id="charpoly-quadratic-past-float-range"),
     pytest.param(["mutate", "--seed", "HUGE_SEED", "--k", "1"],
                  id="mutate-int-past-4300-digits"),
     pytest.param(["transport", "--path", f"{DATA}/kron3_path.json",
@@ -718,6 +736,9 @@ def test_readme_commands_run(capsys, monkeypatch, line):
 
 
 def test_numpy_is_imported_only_for_a_radius():
+    """A float radius was the only use numpy ever had; it is computed in
+    Python now, so with numpy importable no command, a radius included,
+    loads it."""
     code = f"""
 import io, sys, contextlib
 import signstab
@@ -730,7 +751,38 @@ run("orbit", "--path", {DATA!r} + "/kron3_path.json", "--point", "[1,0]",
     "--iters", "4")
 assert "numpy" not in sys.modules, "orbit loaded numpy"
 run("charpoly", "--matrix", "[[3,1],[-1,0]]")
-assert "numpy" in sys.modules, "charpoly computed a radius without numpy"
+assert "numpy" not in sys.modules, "charpoly's radius loaded numpy"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=SRC.parent, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_no_command_loads_numpy():
+    """The engine has no dependency: with `import numpy` made to fail, the
+    orbit, a float radius (quadratic and linear square-free parts) and the
+    stretch table all still run."""
+    code = f"""
+import io, sys, contextlib
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+sys.meta_path.insert(0, NoNumpy())
+from signstab.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--json-only", *argv]) == 0, argv
+run("orbit", "--path", {DATA!r} + "/kron3_path.json", "--point", "[1,0]",
+    "--iters", "4")
+run("charpoly", "--matrix", "[[3,1],[-1,0]]")
+run("charpoly", "--matrix", "[[2,1],[0,2]]")
+run("stretch", "--path", {DATA!r} + "/sphere3b_path.json",
+    "--stable", "+++00-+--+00-+++", "--candidate", "3/2+1/2*sqrt(5)")
+assert "numpy" not in sys.modules
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -5,12 +5,15 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import perm_matrix
+from oracles import perm_matrix, poly_with_top_modulus
 
 from signstab import (
     DimensionMismatchError,
@@ -302,16 +305,13 @@ def test_spectral_radius_companion_of_printed_factors():
 @pytest.mark.parametrize("a", [0, 1, -1, 7, -7, 2 ** 53 + 1, -(2 ** 70 + 5)])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_root_radius_of_one_repeated_root_is_exact(a, k):
-    import numpy as np
-
     from signstab.stability import root_radius
 
     p = IntPoly((1,))
     for _ in range(k):
         p = p * IntPoly((-a, 1))
-    # the square-free part is nu - a: numpy's root of it is exact
-    est = float(abs(max(np.roots([1.0, float(-a)]), key=abs, default=0.0)))
-    assert est == float(abs(a))
+    # the square-free part is nu - a, whose root a is exact
+    est = float(abs(a))
     expected = (est, 1e-11 * max(1.0, est)) if a else (0.0, 0.0)
     assert root_radius(p) == expected
 
@@ -339,6 +339,36 @@ assert "numpy" not in sys.modules, "a linear square-free part loaded numpy"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+_FACTOR = st.one_of(
+    st.tuples(st.just("root"), st.integers(-30, 30)),
+    st.tuples(st.just("real"), st.integers(-30, 30), st.integers(-200, 200))
+    .filter(lambda f: f[1] ** 2 > 4 * f[2]),
+    st.tuples(st.just("pair"), st.integers(1, 400)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FACTOR, min_size=1, max_size=6))  # degree at most 12
+# a real root tied in modulus with a complex pair
+@example([("root", 2), ("pair", 4)])
+@example([("root", -3), ("pair", 9), ("real", 1, -6)])
+# roots on the unit circle, as a permutation matrix has: nu^4 - 1
+@example([("root", 1), ("root", -1), ("pair", 1)])
+@example([("pair", 1), ("pair", 1), ("root", 1), ("root", 1), ("root", -1)])
+# a negative real top root, alone and as the larger root of a quadratic
+@example([("root", -7), ("root", 5), ("pair", 2)])
+@example([("real", -9, 1), ("pair", 16)])
+def test_root_radius_bound_holds_against_exact_factors(factors):
+    from signstab.stability import root_radius
+
+    coeffs, rho = poly_with_top_modulus(factors)
+    est, bound = root_radius(IntPoly(coeffs))
+    assert math.isfinite(est) and math.isfinite(bound)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert abs(Decimal(est) - rho) <= Decimal(bound), (coeffs, est, bound)
 
 
 def _conjugated_block_triangular(rng):
