@@ -44,7 +44,6 @@ from .stability import (
     enumerate_realizable_signs_with_witnesses,
     iterate_orbit,
     root_radius,
-    spectral_radius,  # noqa: F401  (bound here for perfbench's tracing spans)
     stretch_factor,
     verify_eigenpair,
 )

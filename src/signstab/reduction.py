@@ -17,7 +17,6 @@ from typing import Sequence
 from .errors import DimensionMismatchError, FrozenIndexError, SplitViolationError
 from .scalars import Scalar
 from .seeds import Flip, FlipStep, MutationPath, Seed
-from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 from .stability import (
     IntPoly,
     cyclotomic_like_product,
@@ -25,10 +24,6 @@ from .stability import (
     spectral_radius,
 )
 from .tropical import SignSeq, TropPoint, check_point, sign_of_path, transport
-from .tropical import (  # noqa: F401  (perfbench/tracing.py patches these bindings)
-    presentation_matrix_for_sign,
-    trop_mutate,
-)
 
 
 @dataclass(frozen=True)

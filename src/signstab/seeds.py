@@ -273,24 +273,16 @@ class CompiledPath:
             m[i] = [x + c * y for x, y in zip(m[i], krow)]
         m[kp] = [-x for x in krow]
 
-    def branch(self, eps) -> tuple[list[tuple], list[list]]:
-        """The linear branch of the strict sign sequence eps.
-
-        Returns the sign-cone rows, eps_nu times row k_nu of the running
-        product just before flip nu, and the presentation matrix, the
-        product of all step matrices in application order.
-        """
+    def branch(self, eps) -> list[list]:
+        """The presentation matrix of the strict sign sequence eps: the
+        product of all step matrices in application order."""
         n = self.n
         m = [[int(i == j) for j in range(n)] for i in range(n)]
-        rows = []
         signs = iter(eps)
         for step in self.steps:
-            s = 0
-            if type(step) is FlipStep:
-                s = next(signs)
-                rows.append(tuple(s * x for x in m[step.kp]))
+            s = next(signs) if type(step) is FlipStep else 0
             self.apply_left(m, step, s)
-        return rows, m
+        return m
 
 
 def _moved(v: tuple, perm: tuple[int, ...]) -> tuple:

