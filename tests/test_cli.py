@@ -735,6 +735,32 @@ def test_readme_commands_run(capsys, monkeypatch, line):
     json.loads(out)
 
 
+def test_numpy_is_imported_only_for_a_radius():
+    """A float radius was the only use numpy ever had; it is computed in
+    Python now, so with numpy importable no command, a radius included,
+    loads it."""
+    code = f"""
+import io, sys, contextlib
+import signstab
+assert "numpy" not in sys.modules, "import signstab loaded numpy"
+from signstab.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--json-only", *argv]) == 0
+run("orbit", "--path", {DATA!r} + "/kron3_path.json", "--point", "[1,0]",
+    "--iters", "4")
+assert "numpy" not in sys.modules, "orbit loaded numpy"
+run("charpoly", "--matrix", "[[3,1],[-1,0]]")
+assert "numpy" not in sys.modules, "charpoly's radius loaded numpy"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=SRC.parent, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_no_command_loads_numpy():
     """The engine has no dependency: with every `import numpy` recorded and
     made to fail, the import, the orbit, a float radius (quadratic and

@@ -1,9 +1,13 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +322,23 @@ def test_root_radius_of_a_linear_part_past_the_float_range():
     a = 10 ** 999
     with pytest.raises(MagnitudeError):
         root_radius(IntPoly((-a, 1)) * IntPoly((-a, 1)))
+
+
+def test_linear_squarefree_radius_loads_no_numpy():
+    code = """
+import io, sys, contextlib
+from signstab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--json-only", "charpoly", "--matrix", "[[2,1],[0,2]]"]) == 0
+assert "numpy" not in sys.modules, "a linear square-free part loaded numpy"
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 _FACTOR = st.one_of(
