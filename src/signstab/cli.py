@@ -187,9 +187,10 @@ def _orbit(args):
 
 def cmd_orbit(args):
     report, inputs, result = _orbit(args)
+    d = report.d
     result["iterations"] = [
-        {"n": i + 1, "sign": sign_str(s), "point": _point_json(p)}
-        for i, (s, p) in enumerate(report.iterations)
+        {"n": i + 1, "sign": sign_str(s), "point": sio.row_json(row, d)}
+        for i, (s, row) in enumerate(zip(report.signs, report.rows))
     ]
     result["stabilization_index"] = report.stabilization_index
     return (inputs, result,

@@ -15,7 +15,7 @@ from typing import Any
 from .errors import (FormatError, FrozenIndexError, MagnitudeError,
                      SplitViolationError)
 from .reduction import Cone
-from .scalars import QuadExt, Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_ints, parse_scalar, scalar_ints
 from .seeds import Flip, MutationPath, Permute, Seed, Triangulation, check_split
 from .traintrack import TrainTrack
 
@@ -56,17 +56,30 @@ def parse_coord(value) -> Scalar:
     raise FormatError(f"bad scalar {value!r} (floats are not exact)")
 
 
+def scalar_json(a: int, b: int, den: int, d: int):
+    """The JSON form of (a + b*sqrt(d)) / den, for ints a, b and den != 0
+    of any sign, decided by its value alone: a JSON integer when it is an
+    integer, its exact text (``scalars.format_ints``) otherwise."""
+    if not b:
+        q, r = divmod(a, den)
+        if not r:
+            return q
+    return format_ints(a, b, den, d)
+
+
 def coord_json(value: Scalar):
-    """A scalar's JSON form, decided by its value alone: a JSON integer
-    when it is an integer, its exact text otherwise (so a QuadExt with
-    b = 0 renders as its rational part)."""
-    if isinstance(value, QuadExt):
-        if value.b:
-            return format_scalar(value)
-        value = value.a
-    if value.denominator == 1:
-        return int(value)
-    return format_scalar(value)
+    """A scalar's JSON form (``scalar_json``), so a QuadExt with b = 0
+    renders as its rational part."""
+    return scalar_json(*scalar_ints(value))
+
+
+def row_json(row, d: int) -> list:
+    """The JSON form of an integer row (A, B, D): coordinate i is
+    (A_i + B_i*sqrt(d)) / D, with B None for a rational row."""
+    a, b, den = row
+    if b is None:
+        return [scalar_json(x, 0, den, 0) for x in a]
+    return [scalar_json(x, y, den, d) for x, y in zip(a, b)]
 
 
 # -- seeds ---------------------------------------------------------------------

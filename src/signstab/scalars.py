@@ -9,6 +9,7 @@ machinery of the engine rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -240,28 +241,51 @@ def quad_sqrt(n: int | Fraction) -> Scalar:
 # No float literals are accepted.
 
 
-def _format_frac(x: Fraction) -> str:
+def scalar_ints(s) -> tuple[int, int, int, int]:
+    """(a, b, den, d) with s = (a + b*sqrt(d)) / den and den > 0 the least
+    common denominator; b and d are 0 for a rational s (or an int)."""
+    if isinstance(s, QuadExt):
+        a, b = s.a, s.b
+        den = math.lcm(a.denominator, b.denominator)
+        return (a.numerator * (den // a.denominator),
+                b.numerator * (den // b.denominator), den, s.d)
+    return s.numerator, 0, s.denominator, 0
+
+
+def format_ints(a: int, b: int, den: int, d: int) -> str:
+    """The text of (a + b*sqrt(d)) / den for ints a, b and den != 0 of any
+    sign: "p", "p/q" or "p/q+r/s*sqrt(d)", each part in lowest terms, the
+    rational part left out when it is 0 and the sqrt term when b is 0.
+    Every text form of a scalar is written here.  An int past Python's
+    int-to-text digit limit is a MagnitudeError."""
+    if den < 0:
+        a, b, den = -a, -b, -den
     try:
-        return (str(x.numerator) if x.denominator == 1
-                else f"{x.numerator}/{x.denominator}")
+        if not b:
+            return _ratio_text(a, den)
+        if b == den or b == -den:
+            tail = f"sqrt({d})"
+        else:
+            tail = f"{_ratio_text(abs(b), den)}*sqrt({d})"
+        if not a:
+            return tail if b > 0 else f"-{tail}"
+        return f"{_ratio_text(a, den)}{'+' if b > 0 else '-'}{tail}"
     except ValueError:  # past Python's int-to-text digit limit
         raise MagnitudeError(
             "a scalar's numerator or denominator is past Python's int-to-text "
             "digit limit (4,300 digits by default)") from None
 
 
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms for q > 0, "p" when q divides p."""
+    g = math.gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
+
+
 def format_scalar(s: Scalar) -> str:
-    if isinstance(s, QuadExt):
-        if s.b == 0:
-            return _format_frac(s.a)
-        root = f"sqrt({s.d})"
-        babs = _format_frac(abs(s.b))
-        tail = root if babs == "1" else f"{babs}*{root}"
-        sign = "-" if s.b < 0 else "+"
-        if s.a == 0:
-            return tail if sign == "+" else f"-{tail}"
-        return f"{_format_frac(s.a)}{sign}{tail}"
-    return _format_frac(s if isinstance(s, Fraction) else Fraction(s))
+    return format_ints(*scalar_ints(s))
 
 
 def _parse_frac(text: str) -> Fraction:

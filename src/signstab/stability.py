@@ -4,9 +4,9 @@ spectral radii, cluster stretch factors, and exact eigenpair checks.
 
 Every walk along a path runs on its :class:`~signstab.seeds.CompiledPath`:
 an orbit lap is ``CompiledPath.walk`` on one primitive integer point,
-divided by its gcd once per lap, with exact scalars built only for the
-lap's normalized row; the sign tree left-multiplies the running
-presentation product one compiled step at a time.
+divided by its gcd once per lap, and keeps the lap's normalized row in
+integers; the sign tree left-multiplies the running presentation product
+one compiled step at a time.
 
 Realizable sign sequences come from one exact search over the sign tree
 (:func:`realizable_branches`), which enumeration, the block-structure
@@ -55,6 +55,7 @@ from .tropical import (
     check_strict_sign,
     is_strict,
     normalize_ints,
+    point_from_ints,
     point_to_ints,
     sign_str,
 )
@@ -67,18 +68,30 @@ from .tropical import (
 class OrbitReport:
     """Signs and normalized points along the forward orbit of a loop.
 
-    iterations[i] pairs the sign of the path at phi^i(w) with the
-    normalized point phi^{i+1}(w).  Detection fields are empirical: they
-    look at the trailing `window` iterations only.
+    signs[i] is the sign of the path at phi^i(w) and rows[i] the
+    normalized point phi^{i+1}(w) as an integer row (A, B, D): coordinate
+    j is (A_j + B_j*sqrt(d)) / D, with B None for a rational orbit
+    (``tropical.normalize_ints``).  ``iterations`` pairs them as exact
+    points, built when read.  Detection fields are empirical: they look at
+    the trailing `window` signs only.
     """
 
     point: TropPoint
-    iterations: list[tuple[SignSeq, TropPoint]]
+    signs: list[SignSeq]
+    rows: list[tuple]
+    d: int
     window: int
     detected_stable: Optional[SignSeq] = None
     detected_weak_stable: Optional[SignSeq] = None
     stabilization_index: Optional[int] = None
     all_zero_warning: bool = False
+
+    @property
+    def iterations(self) -> list[tuple[SignSeq, TropPoint]]:
+        """(sign, exact normalized point) per lap."""
+        d = self.d
+        return [(s, point_from_ints((a, b), d, den))
+                for s, (a, b, den) in zip(self.signs, self.rows)]
 
 
 def iterate_orbit(
@@ -90,7 +103,7 @@ def iterate_orbit(
     """Iterate the loop n_max times from w, normalizing between iterations.
 
     Each lap walks one primitive integer point (the walk commutes with
-    positive scaling) and builds exact scalars only for its normalized row.
+    positive scaling) and keeps its normalized row in integers.
     """
     if not is_loop(path):
         raise LoopRequiredError("orbit iteration needs a mutation loop")
@@ -101,48 +114,54 @@ def iterate_orbit(
     w = check_point(path.initial, w)
     point, d, _ = point_to_ints(w)
     walk = path.compiled.walk
-    iterations = []
+    signs, rows = [], []
     for _ in range(n_max):
-        signs, _, point = walk(point, d)
+        sign, _, point = walk(point, d)
         point, row = normalize_ints(point, d)
-        iterations.append((signs, row))
-    report = OrbitReport(point=w, iterations=iterations, window=window)
+        signs.append(sign)
+        rows.append(row)
+    report = OrbitReport(point=w, signs=signs, rows=rows, d=d, window=window)
     report.detected_stable = detect_stable_sign(report, window)
     weak = detect_weak_stable_sign(report, window)
     report.detected_weak_stable = weak
     report.all_zero_warning = all(e == 0 for e in weak)
-    report.stabilization_index = _stabilization_index(iterations)
+    report.stabilization_index = _stabilization_index(signs)
     return report
 
 
-def _stabilization_index(iterations) -> Optional[int]:
-    if len(iterations) < 2:
+def _stabilization_index(signs) -> Optional[int]:
+    if len(signs) < 2:
         return None
-    last = iterations[-1][0]
-    idx = len(iterations) - 1
-    while idx > 0 and iterations[idx - 1][0] == last:
+    last = signs[-1]
+    idx = len(signs) - 1
+    while idx > 0 and signs[idx - 1] == last:
         idx -= 1
-    return idx if idx < len(iterations) - 1 else None
+    return idx if idx < len(signs) - 1 else None
 
 
 def detect_stable_sign(report: OrbitReport, window: int) -> Optional[SignSeq]:
     """Common strict sign of the last `window` iterations, if constant."""
     if window < 2:
         raise ValueError("window must be >= 2")
-    if len(report.iterations) < window:
+    if len(report.signs) < window:
         return None
-    tail = [s for s, _ in report.iterations[-window:]]
+    tail = report.signs[-window:]
     if all(s == tail[0] for s in tail) and is_strict(tail[0]):
         return tail[0]
     return None
 
 
 def detect_weak_stable_sign(report: OrbitReport, window: int) -> SignSeq:
-    """Entrywise: the constant value over the tail where constant, else 0."""
+    """Entrywise: the constant value over the last `window` iterations
+    where constant, else 0; all zeros when there are fewer than `window`
+    iterations, as detect_stable_sign then detects nothing."""
     if window < 2:
         raise ValueError("window must be >= 2")
-    tail = [s for s, _ in report.iterations[-window:]]
-    h = len(tail[0]) if tail else 0
+    signs = report.signs
+    h = len(signs[0]) if signs else 0
+    if len(signs) < window:
+        return (0,) * h
+    tail = signs[-window:]
     out = []
     for i in range(h):
         vals = {s[i] for s in tail}

@@ -9,10 +9,12 @@ Every walk along a path runs on the path's
 :class:`~signstab.seeds.CompiledPath`, so B moves along a path once, not
 on every call, and it runs on plain ints: ``point_to_ints``
 writes a point as (A + B*sqrt(d))/D with integer vectors A, B and one
-denominator D, and ``point_from_ints`` turns walked integer points back
-into exact scalars: ``QuadExt``s for a point over Q(sqrt(d)),
-``Fraction``s for a rational one.  Orbits are normalized on the integers
-too (``normalize_ints``).  The one-step functions are the one-flip case:
+denominator D, and ``point_from_ints`` turns a walked integer point back
+into exact scalars (``QuadExt``s for a point over Q(sqrt(d)),
+``Fraction``s for a rational one) for ``transport`` and
+``normalize_point``.  An orbit row never becomes exact scalars on its way
+to a report: ``normalize_ints`` gives it as integers (A, B, D), and
+``io.row_json`` renders those.  The one-step functions are the one-flip case:
 ``trop_mutate`` is ``transport`` and ``edge_matrix`` is
 ``presentation_matrix_for_sign`` on the path ``(Flip(k),)``.
 """
@@ -92,10 +94,13 @@ def check_strict_sign(path: MutationPath, eps: SignSeq) -> None:
 #
 # An integer point is (a, b), the point a + b*sqrt(d) for a radicand d kept
 # beside it: a and b are tuples of ints, and b is None for a rational point.
-# CompiledPath.walk carries it along a path.  Built back into exact scalars,
-# every coordinate of a point over Q(sqrt(d)) is a QuadExt and every
-# coordinate of a rational point a Fraction; a report renders each by its
-# value alone (``io.coord_json``).
+# CompiledPath.walk carries it along a path.  A row (a, b, D) adds one
+# nonzero denominator D of either sign: the point (a + b*sqrt(d)) / D.  An
+# orbit keeps its normalized rows in this form, and a report renders each
+# coordinate by its value alone straight from the ints (``io.row_json``).
+# Built back into exact scalars (``point_from_ints``), every coordinate of a
+# point over Q(sqrt(d)) is a QuadExt and every coordinate of a rational
+# point a Fraction.
 
 
 def point_to_ints(w: TropPoint):
@@ -132,22 +137,24 @@ def point_from_ints(point, d: int, den: int) -> TropPoint:
 
 
 def normalize_ints(point, d: int):
-    """(primitive point, normalized point) of an integer point.
+    """(primitive point, normalized row) of an integer point.
 
     The primitive point is the point divided by the gcd of its entries; a
-    positive scaling, so it walks to the same signs.  The normalized point
+    positive scaling, so it walks to the same signs.  The normalized row
     is x_i / |x_m|, with m the first index of largest absolute value, as
-    exact scalars.  The zero point normalizes to itself.
+    (A, B, D) with x_i / |x_m| = (A_i + B_i*sqrt(d)) / D: B is None for a
+    rational point and D may be negative.  The zero point normalizes to
+    itself, with D = 1.
     """
     a, b = point
     g = math.gcd(*a) if b is None else math.gcd(*a, *b)
     if g == 0:
-        return point, point_from_ints(point, d, 1)
+        return point, (a, b, 1)
     if g > 1:
         a = tuple(x // g for x in a)
         b = None if b is None else tuple(y // g for y in b)
     if b is None:
-        return (a, b), point_from_ints((a, b), d, max(map(abs, a)))
+        return (a, b), (a, b, max(map(abs, a)))
     # |x_i| = ua_i + ub_i*sqrt(d)
     signs = [quad_sign(x, y, d) for x, y in zip(a, b)]
     ua = [s * x for s, x in zip(signs, a)]
@@ -156,18 +163,19 @@ def normalize_ints(point, d: int):
     for i in range(1, len(a)):
         if quad_sign(ua[i] - ua[m], ub[i] - ub[m], d) > 0:
             m = i
-    # x / |x_m| = x * (ua_m - ub_m*sqrt(d)) / (ua_m**2 - d*ub_m**2); the
-    # denominator may be negative, and Fraction normalizes its sign
+    # x / |x_m| = x * (ua_m - ub_m*sqrt(d)) / (ua_m**2 - d*ub_m**2), whose
+    # denominator may be negative
     am, bm = ua[m], ub[m]
-    scaled = (tuple(x * am - d * y * bm for x, y in zip(a, b)),
-              tuple(y * am - x * bm for x, y in zip(a, b)))
-    return (a, b), point_from_ints(scaled, d, am * am - d * bm * bm)
+    return (a, b), (tuple(x * am - d * y * bm for x, y in zip(a, b)),
+                    tuple(y * am - x * bm for x, y in zip(a, b)),
+                    am * am - d * bm * bm)
 
 
 def normalize_point(w: TropPoint) -> TropPoint:
     """Divide by the largest absolute coordinate (exact); fixes rays."""
     point, d, _ = point_to_ints(exact_point(w))
-    return normalize_ints(point, d)[1]
+    a, b, den = normalize_ints(point, d)[1]
+    return point_from_ints((a, b), d, den)
 
 
 # -- walks ------------------------------------------------------------------------

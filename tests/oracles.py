@@ -210,3 +210,16 @@ def poly_with_top_modulus(factors):
                     out[i + j] += x * y
             coeffs, top = tuple(out), max(top, modulus)
     return coeffs, top
+
+
+def scalar_json(a, b, d):
+    """The JSON form of a + b*sqrt(d) for rationals a, b: an int when the
+    value is an integer, else "p/q" or "p/q+r/s*sqrt(d)" text in lowest
+    terms, with a coefficient of 1 and a rational part of 0 left out."""
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        return a.numerator if a.denominator == 1 else str(a)
+    tail = f"sqrt({d})" if abs(b) == 1 else f"{abs(b)}*sqrt({d})"
+    if a == 0:
+        return tail if b > 0 else "-" + tail
+    return f"{a}{'+' if b > 0 else '-'}{tail}"

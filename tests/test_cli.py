@@ -378,6 +378,9 @@ NINES_4300 = "9" * 4300
     pytest.param(["transport", "--path", f"{DATA}/kron3_path.json",
                   "--point", f"[{NINES_4300}, {NINES_4300}]"],
                  id="transport-int-past-4300-digits"),
+    pytest.param(["orbit", "--path", f"{DATA}/kron3_path.json",
+                  "--point", f'["{NINES_4300}/7", 1]', "--iters", "3"],
+                 id="orbit-row-past-4300-digits"),
     # det(nu*I - 10^300*I) has the 4,501-digit constant term 10^4500; its
     # radius, 10^300, is still a float
     pytest.param(["charpoly", "--matrix", json.dumps(
@@ -391,6 +394,19 @@ def test_oversized_numbers_are_json_errors(capsys, tmp_path, argv):
     code, out, err = run(capsys, "--json-only", *argv)
     assert (code, err) == (1, "")
     assert json.loads(out)["error"] == "MagnitudeError"
+
+
+def test_stable_sign_renders_no_orbit_row(capsys):
+    """The orbit whose rows are past the int-to-text limit above: stable-sign
+    prints no row, so it reports its detection fields."""
+    code, out, err = run(capsys, "--json-only", "stable-sign",
+                         "--path", f"{DATA}/kron3_path.json",
+                         "--point", f'["{NINES_4300}/7", 1]', "--iters", "3")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert "iterations" not in result
+    assert result["window"] == 2 and result["stable"] == "+"
+    assert result["weak_stable"] == "+" and result["weak_all_zero"] is False
 
 
 def test_one_process_runs_commands_like_fresh_ones(capsys):
@@ -592,6 +608,29 @@ def test_orbit_window_validation(capsys):
     code = main(["--json-only", "orbit", "--path", f"{DATA}/kron3_path.json",
                  "--point", "[1,0]", "--iters", "4", "--window", "9"])
     assert code == 2
+
+
+def test_stable_sign_needs_a_full_window(capsys):
+    """One lap is shorter than the default window of 2: no sign, weak or
+    strict, is read off it, as --iters 1 --window 2 is refused outright."""
+    code, out, _ = run(capsys, "--json-only", "stable-sign",
+                       "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+                       "--iters", "1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["window"] == 2
+    assert result["stable"] is None
+    assert result["weak_stable"] == "0"
+    assert result["weak_all_zero"] is True
+    code = main(["--json-only", "stable-sign", "--path", f"{DATA}/kron3_path.json",
+                 "--point", "[1,0]", "--iters", "1", "--window", "2"])
+    assert code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "--json-only", "stable-sign",
+                       "--path", f"{DATA}/kron3_path.json", "--point", "[1,0]",
+                       "--iters", "2")
+    assert code == 0
+    assert json.loads(out)["result"]["weak_stable"] == "+"
 
 
 # sha256 of the sphere3b `signs-enumerate` report, recorded before the sign

@@ -1,9 +1,12 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from signstab import FormatError, QuadExt, SplitViolationError
+from oracles import scalar_json as oracle_json
+from signstab import FormatError, QuadExt, SplitViolationError, format_scalar
 from signstab import io as sio
 
 
@@ -55,6 +58,45 @@ def test_coord_json_renders_by_value():
     assert sio.coord_json(QuadExt(Fraction(1, 2), 0, 5)) == "1/2"
     assert sio.coord_json(Fraction(-1, 2)) == "-1/2"
     assert sio.coord_json(QuadExt(1, -1, 5)) == "1-sqrt(5)"
+
+
+def _rational(rng):
+    """A seeded rational, 0, +-1 and integers among them."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.choice((1, -1)))
+    if kind == 2:
+        return Fraction(rng.randint(-10**30, 10**30))
+    return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+
+def test_scalars_and_integer_rows_render_by_one_text_rule():
+    """coord_json of a Fraction or QuadExt, and scalar_json/row_json of the
+    same value as ints over a common denominator of either sign, against
+    an oracle that shares no code with the engine."""
+    rng = random.Random(20)
+    cases = [(Fraction(a), Fraction(b)) for a in (0, 3, -2, Fraction(1, 2))
+             for b in (0, 1, -1, Fraction(2, 3), Fraction(-5, 4))]
+    cases += [(_rational(rng), _rational(rng)) for _ in range(400)]
+    for a, b in cases:
+        d = rng.choice((2, 3, 5, 6, 7, 10, 999983))
+        want = oracle_json(a, b, d)
+        if b == 0:
+            assert sio.coord_json(a) == want, a
+        assert sio.coord_json(QuadExt(a, b, d)) == want, (a, b, d)
+        assert format_scalar(QuadExt(a, b, d)) == str(want)
+        # the same value as (A + B*sqrt(d)) / den, den a common denominator
+        # of any sign, not necessarily the least
+        den = (rng.choice((1, -1)) * rng.randint(1, 30)
+               * math.lcm(a.denominator, b.denominator))
+        num_a, num_b = int(a * den), int(b * den)
+        assert sio.scalar_json(num_a, num_b, den, d) == want, (a, b, den)
+        if b == 0:
+            assert sio.scalar_json(num_a, 0, den, 0) == want
+            assert sio.row_json(((num_a,), None, den), 0) == [want]
+        assert sio.row_json(((num_a,), (num_b,), den), d) == [want]
 
 
 def test_path_seed_by_reference(tmp_path):
