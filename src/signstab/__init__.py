@@ -67,7 +67,6 @@ from .stability import (
     enumerate_realizable_signs_with_witnesses,
     iterate_orbit,
     realizable_branches,
-    realization_witness,
     sign_geq,
     spectral_radius,
     stretch_factor,

@@ -212,7 +212,7 @@ def cmd_signs_enumerate(args):
     result = {
         "count": len(signs),
         "signs": [sign_str(s) for s in signs],
-        "witnesses": {sign_str(s): _point_json(found[s]) for s in signs},
+        "witnesses": {sign_str(s): list(found[s]) for s in signs},
     }
     return ({"path": sio.path_to_obj(path)}, result,
             f"{len(signs)} realizable strict sign sequences")

@@ -243,13 +243,19 @@ def track_from_obj(obj, where="track") -> TrainTrack:
     edges = _expect(obj, "edges", list, where)
     switches = _expect(obj, "switches", list, where)
     boundary = obj.get("boundary", [])
+    if not all(isinstance(s, list) and len(s) == 2 and isinstance(s[1], list)
+               and len(s[1]) == 2 for s in switches):
+        raise FormatError(f"{where}: key 'switches' must hold "
+                          "[edge, [edge, edge]] entries")
+    if not isinstance(boundary, list):
+        raise FormatError(f"{where}: key 'boundary' must be a list of edges")
     try:
         return TrainTrack(
             tuple(str(e) for e in edges),
-            tuple((str(s[0]), (str(s[1][0]), str(s[1][1]))) for s in switches),
+            tuple((str(e0), (str(e1), str(e2))) for e0, (e1, e2) in switches),
             frozenset(str(e) for e in boundary),
         )
-    except (ValueError, IndexError, TypeError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 

@@ -10,10 +10,12 @@ one compiled step at a time.
 
 Realizable sign sequences come from one exact search over the sign tree
 (:func:`realizable_branches`), which enumeration, the block-structure
-check, the stretch-factor table and :func:`realization_witness` all
-walk.  Each node keeps the feasibility tableau of its open cone; a child
-appends its one new row to its parent's tableau and either inherits the
-parent's witness or pivots on from the parent's basis.  An empty child
+check and the stretch-factor table all walk.  Each realizable sequence
+comes with the primitive integer witness the search found, and that
+tuple of ints is the one witness form every caller receives.  Each node
+keeps the feasibility tableau of its open cone; a child appends its one
+new row to its parent's tableau and either inherits the parent's
+witness or pivots on from the parent's basis.  An empty child
 leaves a Gordan multiplier behind, and the search keeps it: any later
 child whose cone holds all of that multiplier's rows is pruned by it,
 checked again exactly, without a solve.  Nothing is sampled, so
@@ -52,7 +54,6 @@ from .tropical import (
     SignSeq,
     TropPoint,
     check_point,
-    check_strict_sign,
     is_strict,
     normalize_ints,
     point_from_ints,
@@ -259,11 +260,11 @@ def realizable_branches(
 def enumerate_realizable_signs_with_witnesses(
     path: MutationPath,
     max_branch: Optional[int] = None,
-) -> dict[SignSeq, TropPoint]:
-    """All realizable strict sign sequences, each with a rational witness
-    (see :func:`realizable_branches`)."""
+) -> dict[SignSeq, tuple[int, ...]]:
+    """All realizable strict sign sequences, each with the sign tree's
+    primitive integer witness (see :func:`realizable_branches`)."""
     return {
-        eps: tuple(Fraction(v) for v in witness)
+        eps: witness
         for eps, witness, _ in realizable_branches(path, max_branch=max_branch)
     }
 
@@ -272,18 +273,7 @@ def enumerate_realizable_signs(
     path: MutationPath,
     max_branch: Optional[int] = None,
 ) -> set[SignSeq]:
-    return set(
-        enumerate_realizable_signs_with_witnesses(path, max_branch=max_branch)
-    )
-
-
-def realization_witness(path: MutationPath, eps: SignSeq):
-    """A rational point whose sign sequence is exactly eps, or None: the
-    witness of eps's one branch of the sign tree."""
-    check_strict_sign(path, eps)
-    for _, witness, _ in realizable_branches(path, stable=eps):
-        return tuple(Fraction(v) for v in witness)
-    return None
+    return {eps for eps, _, _ in realizable_branches(path, max_branch=max_branch)}
 
 
 # -- polynomials ---------------------------------------------------------------

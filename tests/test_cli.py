@@ -259,6 +259,11 @@ BAD_FLAG_FILES = {
     # raw bytes: json.dumps refuses an int of over 4,300 digits too
     "LONG_INT_SEED": b'{"n": 1, "unfrozen": [0], "B": [[' + b"1" * 5000 + b"]]}",
     "NOT_UTF8_PATH": b"\xff\xfe[1]",
+    "TRACK_STR_SWITCH": {"edges": ["a", "b", "c"], "switches": [["a", "bc"]]},
+    "TRACK_LONG_SWITCH": {"edges": ["a", "b", "c"],
+                          "switches": [["a", ["b", "c", "zzz"]]]},
+    "TRACK_STR_BOUNDARY": {"edges": ["a", "b"], "switches": [], "boundary": "ab"},
+    "TRACK_INT_BOUNDARY": {"edges": ["a"], "switches": [], "boundary": 5},
 }
 NINES_400 = "9" * 400
 
@@ -316,6 +321,10 @@ NINES_400 = "9" * 400
      "--point", "[" + "1" * 5000 + ", 1]"],
     ["sign", "--path", "NOT_UTF8_PATH", "--point", "[1]"],
     ["charpoly", "--matrix", f"[[{NINES_400},1],[0,{NINES_400}]]"],
+    ["track-validate", "--track", "TRACK_STR_SWITCH", "--measure", "{}"],
+    ["track-validate", "--track", "TRACK_LONG_SWITCH", "--measure", "{}"],
+    ["track-validate", "--track", "TRACK_STR_BOUNDARY", "--measure", "{}"],
+    ["track-validate", "--track", "TRACK_INT_BOUNDARY", "--measure", "{}"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}

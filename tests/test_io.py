@@ -157,6 +157,20 @@ def test_report_determinism():
     assert doc["schema_version"] == 1
 
 
+EDGES = ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("track, key", [
+    ({"edges": EDGES, "switches": [["a", "bc"]]}, "switches"),
+    ({"edges": EDGES, "switches": [["a", ["b", "c", "zzz"]]]}, "switches"),
+    ({"edges": EDGES, "switches": [], "boundary": "ab"}, "boundary"),
+    ({"edges": EDGES, "switches": [], "boundary": 5}, "boundary"),
+])
+def test_malformed_track_rejected(track, key):
+    with pytest.raises(FormatError, match=f"key '{key}'"):
+        sio.track_from_obj(track)
+
+
 def test_measure_rejects_irrational():
     with pytest.raises(FormatError):
         sio.measure_from_obj({"e": "sqrt(5)"})

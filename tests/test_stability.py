@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -38,8 +37,6 @@ from signstab import (
     parse_sign_str,
     presentation_matrix_for_sign,
     quad_sqrt,
-    realizable_branches,
-    realization_witness,
     sign_geq,
     sign_of_path,
     spectral_radius,
@@ -47,7 +44,6 @@ from signstab import (
     verify_eigenpair,
 )
 from signstab import io as sio
-from signstab.cli import main
 
 from test_seeds import A2, kronecker
 
@@ -158,9 +154,13 @@ def test_enumerate_single_flip():
 
 
 def test_enumerate_witnesses_are_witnesses():
-    path = a2_path()
-    for eps, w in enumerate_realizable_signs_with_witnesses(path).items():
-        assert sign_of_path(path, w) == eps
+    for path in (a2_path(), kron_path(3), MutationPath(A2, ())):
+        found = enumerate_realizable_signs_with_witnesses(path)
+        assert found
+        for eps, w in found.items():
+            assert type(w) is tuple and all(type(v) is int for v in w)
+            assert math.gcd(*w) == 1
+            assert sign_of_path(path, w) == eps
 
 
 def test_enumerate_empty_path():
@@ -173,66 +173,23 @@ def test_enumerate_with_sparse_samples_still_exact():
     assert len(found) == 5
 
 
-def test_realization_witness():
-    path = a2_path()
-    assert realization_witness(path, (1, -1, 1)) is None
-    w = realization_witness(path, (1, 1, -1))
-    assert w is not None and sign_of_path(path, w) == (1, 1, -1)
-
-
-@pytest.mark.parametrize("path", [a2_path(), kron_path(3)], ids=["a2", "kron3"])
-def test_realization_witness_is_the_trees_witness(path):
-    found = enumerate_realizable_signs_with_witnesses(path)
-    assert found
-    for eps, w in found.items():
-        assert realization_witness(path, eps) == w
-
-
-def test_realization_witness_none_on_unrealizable_a2_signs():
-    path = a2_path()
-    found = enumerate_realizable_signs(path)
-    missing = set(itertools.product((1, -1), repeat=3)) - found
-    assert len(missing) == 3
-    for eps in missing:
-        assert realization_witness(path, eps) is None
-
-
-def test_realization_witness_on_sphere3b_completions(sphere_path):
-    stable = parse_sign_str("+++00-+--+00-+++")
-    branches = list(realizable_branches(sphere_path, stable))
-    assert len(branches) == 16  # every strict completion is realizable
-    for eps, w, _ in branches:
-        assert realization_witness(sphere_path, eps) == tuple(map(Fraction, w))
-
-
-def test_realization_witness_on_sampled_sphere3b_signs(sphere_path,
-                                                       sphere_enumeration):
+def test_report_witnesses_on_sampled_sphere3b_signs(sphere_path,
+                                                    sphere_enumeration):
     code, out, _ = sphere_enumeration
     assert code == 0
     witnesses = json.loads(out)["result"]["witnesses"]
     assert len(witnesses) == 4772
     for text in random.Random(15).sample(sorted(witnesses), 200):
-        w = realization_witness(sphere_path, parse_sign_str(text))
-        assert w == sio.point_from_obj(witnesses[text])
+        w = sio.point_from_obj(witnesses[text])
+        assert sign_of_path(sphere_path, w) == parse_sign_str(text)
 
 
-def test_realization_witness_on_a_flip_free_path(capsys, data_dir):
-    path_file = str(data_dir / "empty_path.json")
-    assert main(["--json-only", "signs-enumerate", "--path", path_file]) == 0
-    witnesses = json.loads(capsys.readouterr().out)["result"]["witnesses"]
-    w = realization_witness(sio.load_path(path_file), ())
-    assert list(witnesses) == [""]
-    assert w == sio.point_from_obj(witnesses[""])
-
-
-@pytest.mark.parametrize("fn", [realization_witness,
-                                presentation_matrix_for_sign])
-def test_strict_sign_of_length_h_required(fn):
+def test_strict_sign_of_length_h_required():
     path = a2_path()
     with pytest.raises(DimensionMismatchError):
-        fn(path, (1, 1))
+        presentation_matrix_for_sign(path, (1, 1))
     with pytest.raises(NonStrictSignError) as err:
-        fn(path, (1, 0, 1))
+        presentation_matrix_for_sign(path, (1, 0, 1))
     assert err.value.positions == (1,)
 
 
