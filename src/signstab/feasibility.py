@@ -10,9 +10,19 @@ holds:
 
 One phase-1 simplex on the second (transposed) system decides which: a zero
 optimum leaves the multiplier y in the basis, a positive optimum leaves a
-witness x in the duals of the artificial columns.  The tableau has dim + 1
-rows and one column per row of the cone.  Pivoting is fraction-free (every
-entry an integer over the running pivot) with Bland's rule.
+witness x in the duals of the artificial columns.  The system has dim + 1
+equations and one column (row, 1) per row of the cone.  Pivoting is
+fraction-free (every entry an integer over the running pivot) with Bland's
+rule.
+
+The simplex is the revised one (Dantzig and Orchard-Hays, 1954), in exact
+integers: the tableau keeps only the right-hand side and the artificial
+block piv*B^-1, dim + 2 integers a row at every depth, and the cost row
+keeps piv times the phase-1 duals.  A cone column is never stored.  When a
+pivot needs one, it is piv*B^-1 (row, 1), and its price, piv times minus
+its reduced cost, is the duals' product with (row, 1).  These are the
+integers a tableau that stored every column would hold, so the pivots,
+witnesses and multipliers are the same.
 
 The tableau grows one row at a time (:meth:`Tableau.extend`).  A new row
 is one new column; the current basis stays primal feasible, so the simplex
@@ -34,19 +44,25 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
+from .errors import DimensionMismatchError
+
 
 class Tableau:
-    """Fraction-free phase-1 tableau of the transposed system of an open
-    cone's rows, with the witness of the cone when it is not empty.
+    """Fraction-free revised phase-1 tableau of the transposed system of an
+    open cone's rows, with the witness of the cone when it is not empty.
 
     ``rows`` holds dim + 1 integer rows laid out as [rhs, artificial block
-    piv*B^-1 (dim + 1 columns), one column per row]; ``cost`` is the
-    cost row in the same layout (piv times minus the reduced costs, so
-    ``cost[0]`` is piv times the phase-1 optimum); ``basis`` names the
-    basic column of each row and ``piv`` is the last pivot.  ``cons`` is the
-    tuple of the cone's rows and ``witness`` is a primitive integer point
-    checked on every one of them.  A tableau is never changed after it is
-    built: :meth:`extend` returns a new one.
+    piv*B^-1 (dim + 1 columns)], dim + 2 integers each, with no column
+    for any row of the cone.  ``cost`` is piv*c_B*B^-1 in the same
+    layout: ``cost[0]`` is piv times the phase-1 optimum and the rest is
+    piv times the duals, so a cone row prices at ``cost . (0, row, 1)``.
+    ``piv`` is the last pivot.  ``cons`` is the tuple of the cone's rows,
+    and cone row j is column dim + 2 + j: ``basis`` names the basic column
+    of each row, an artificial (1 to dim + 1) or a cone column.
+    ``witness`` is a primitive integer point checked on every row of
+    ``cons``: minus the duals of the first dim artificials, divided by
+    their gcd.  A tableau is never changed after it is built:
+    :meth:`extend` returns a new one, which may share the parent's lists.
     """
 
     __slots__ = ("rows", "cost", "basis", "piv", "cons", "witness")
@@ -65,30 +81,31 @@ class Tableau:
         m = dim + 1
         rows = [[int(i == dim)] + [int(i == k) for k in range(m)]
                 for i in range(m)]
-        return cls(rows, [1] + [0] * m, list(range(1, m + 1)), 1, (),
+        return cls(rows, [1] * (m + 1), list(range(1, m + 1)), 1, (),
                    (-1,) * dim)
 
     def extend(self, row) -> "Tableau | tuple":
-        """The tableau of this cone plus row.x > 0, for an integer row.
-        When the grown cone is empty, its exactly checked multiplier
-        instead: a tuple of (row, y) pairs over the support, every y > 0."""
+        """The tableau of this cone plus row.x > 0, for an integer row of
+        length dim.  When the grown cone is empty, its exactly checked
+        multiplier instead: a tuple of (row, y) pairs over the support,
+        every y > 0."""
         piv, m = self.piv, len(self.rows)
-        # (0; row; 1) against [rhs, artificial block, ...]: map stops at the
-        # end of the artificial block
-        col = (0, *row, 1)
-        rows = [r + [sum(map(mul, r, col))] for r in self.rows]
-        price = sum(map(mul, self.cost, col)) + piv * sum(col)
-        cost = self.cost + [price]
+        if len(row) != m - 1:
+            raise DimensionMismatchError(
+                f"cone row has length {len(row)}, expected {m - 1}")
+        # (0; row; 1) against [rhs, artificial block]
+        price = sum(map(mul, self.cost, (0, *row, 1)))
         cons = self.cons + (row,)
         if price <= 0:
             # the basis stays optimal, so the witness is the parent's
             _check_witness((row,), self.witness)
-            return Tableau(rows, cost, self.basis, piv, cons, self.witness)
-        basis = list(self.basis)
-        piv = _optimize(rows, cost, basis, piv, m + 1)
+            return Tableau(self.rows, self.cost, self.basis, piv, cons,
+                           self.witness)
+        rows, basis = list(self.rows), list(self.basis)
+        cost, piv = _optimize(rows, self.cost, basis, piv, cons, price)
         if cost[0] == 0:
             return _multiplier(rows, basis, piv, cons, m + 1)
-        x = [-(c + piv) for c in cost[1:m]]
+        x = [-c for c in cost[1:m]]
         g = gcd(*x)
         if g > 1:
             x = [v // g for v in x]
@@ -102,48 +119,60 @@ def _check_witness(cons, x):
             raise ArithmeticError("cone witness failed exact check")
 
 
-def _optimize(rows, cost, basis, prev, first):
-    """Bland-rule simplex on the tableau in place, entering only the cone's
-    columns (index >= first), until no cost entry is positive or the
-    phase-1 optimum reaches zero.  Returns the final pivot."""
+def _optimize(rows, cost, basis, prev, cons, price):
+    """Bland-rule simplex on ``rows`` in place, entering only cone columns,
+    until no cone column prices positive or the phase-1 optimum reaches
+    zero.  The last row of ``cons`` enters first, at ``price``: every other
+    column prices out at the parent's optimum.  Returns the new cost row
+    and the final pivot."""
     m = len(rows)
-    while cost[0] > 0:
-        enter = next((j for j in range(first, len(cost)) if cost[j] > 0), None)
-        if enter is None:
-            break
+    first = m + 1
+    j = len(cons) - 1
+    basic = set(basis)
+    while True:
+        col = (0, *cons[j], 1)
+        entering = [sum(map(mul, r, col)) for r in rows]
         leave = None
-        for i in range(m):
-            t = rows[i][enter]
+        for i, t in enumerate(entering):
             if t <= 0:
                 continue
             if leave is None:
                 leave = i
                 continue
-            lhs = rows[i][0] * rows[leave][enter]
+            lhs = rows[i][0] * entering[leave]
             rhs = rows[leave][0] * t
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded below")
-        piv = rows[leave][enter]
+        piv = entering[leave]
         prow = rows[leave]
         for i in range(m):
             if i == leave:
                 continue
             r = rows[i]
-            f = r[enter]
+            f = entering[i]
             if f:
                 rows[i] = [(piv * a - f * b) // prev for a, b in zip(r, prow)]
             elif piv != prev:
                 rows[i] = [(piv * a) // prev for a in r]
-        f = cost[enter]
-        if f:
-            cost[:] = [(piv * a - f * b) // prev for a, b in zip(cost, prow)]
-        elif piv != prev:
-            cost[:] = [(piv * a) // prev for a in cost]
-        basis[leave] = enter
+        cost = [(piv * a - price * b) // prev for a, b in zip(cost, prow)]
+        basic.discard(basis[leave])
+        basis[leave] = first + j
+        basic.add(first + j)
         prev = piv
-    return prev
+        if cost[0] <= 0:
+            return cost, prev
+        # Bland: the first cone column that prices positive enters next; a
+        # basic column prices zero
+        for j, row in enumerate(cons):
+            if first + j in basic:
+                continue
+            price = sum(map(mul, cost, (0, *row, 1)))
+            if price > 0:
+                break
+        else:
+            return cost, prev
 
 
 def _multiplier(rows, basis, piv, cons, first):

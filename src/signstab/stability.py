@@ -13,9 +13,9 @@ Realizable sign sequences come from one exact search over the sign tree
 check and the stretch-factor table all walk.  Each realizable sequence
 comes with the primitive integer witness the search found, and that
 tuple of ints is the one witness form every caller receives.  Each node
-keeps the feasibility tableau of its open cone; a child appends its one
-new row to its parent's tableau and either inherits the parent's
-witness or pivots on from the parent's basis.  An empty child
+keeps the feasibility tableau of its open cone; a child prices its one
+new row against its parent's tableau and either shares that tableau and
+inherits its witness, or pivots on from the parent's basis.  An empty child
 leaves a Gordan multiplier behind, and the search keeps it: any later
 child whose cone holds all of that multiplier's rows is pruned by it,
 checked again exactly, without a solve.  Nothing is sampled, so
@@ -192,9 +192,10 @@ def realizable_branches(
     entry fixes that flip's side and a zero entry takes both.  Each tree
     node carries the running product, the feasibility tableau of its open
     cone and the set of that cone's rows.  A flip splits on the sign of the
-    mutating functional; each child appends that one row to its parent's
-    tableau and keeps pivoting from the parent's basis, or is pruned when
-    its cone is certified empty.  Every multiplier that proves a cone empty
+    mutating functional; each child extends its parent's tableau by that
+    one row, which shares the parent's tableau when the row prices out and
+    otherwise pivots on from the parent's basis, or is pruned when its cone
+    is certified empty.  Every multiplier that proves a cone empty
     is kept for the rest of the search, filed under each row of its
     support: a child whose new row the parent's witness does not already
     satisfy is pruned without a solve when a kept multiplier's rows all lie
