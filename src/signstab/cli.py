@@ -188,10 +188,15 @@ def _orbit(args):
 def cmd_orbit(args):
     report, inputs, result = _orbit(args)
     d = report.d
-    result["iterations"] = [
-        {"n": i + 1, "sign": sign_str(s), "point": sio.row_json(row, d)}
-        for i, (s, row) in enumerate(zip(report.signs, report.rows))
-    ]
+    # a periodic orbit replays its rows as the same tuples: render each
+    # tuple once, keyed by identity so that no row's integers are hashed
+    points = {}
+    iterations = result["iterations"] = []
+    for i, (s, row) in enumerate(zip(report.signs, report.rows)):
+        point = points.get(id(row))
+        if point is None:
+            point = points[id(row)] = sio.row_json(row, d)
+        iterations.append({"n": i + 1, "sign": sign_str(s), "point": point})
     result["stabilization_index"] = report.stabilization_index
     return (inputs, result,
             f"orbit of {args.iters} iterations, stable={result['stable']}")

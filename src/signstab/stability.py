@@ -5,7 +5,8 @@ spectral radii, cluster stretch factors, and exact eigenpair checks.
 Every walk along a path runs on its :class:`~signstab.seeds.CompiledPath`:
 an orbit lap is ``CompiledPath.walk`` on one primitive integer point,
 divided by its gcd once per lap, and keeps the lap's normalized row in
-integers; the sign tree left-multiplies the running presentation product
+integers, until a row repeats exactly and the rest of the orbit replays
+its cycle; the sign tree left-multiplies the running presentation product
 one compiled step at a time.
 
 Realizable sign sequences come from one exact search over the sign tree
@@ -36,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import cycle, islice
+from operator import mul, neg
 from typing import Optional, Sequence
 
 from . import matrices as mx
@@ -72,8 +74,10 @@ class OrbitReport:
     signs[i] is the sign of the path at phi^i(w) and rows[i] the
     normalized point phi^{i+1}(w) as an integer row (A, B, D): coordinate
     j is (A_j + B_j*sqrt(d)) / D, with B None for a rational orbit
-    (``tropical.normalize_ints``).  ``iterations`` pairs them as exact
-    points, built when read.  Detection fields are empirical: they look at
+    (``tropical.normalize_ints``).  Once the orbit repeats exactly, its
+    later rows and signs are the same tuple objects as the lap they repeat
+    (:func:`iterate_orbit`).  ``iterations`` pairs them as exact points,
+    built when read.  Detection fields are empirical: they look at
     the trailing `window` signs only.
     """
 
@@ -104,7 +108,13 @@ def iterate_orbit(
     """Iterate the loop n_max times from w, normalizing between iterations.
 
     Each lap walks one primitive integer point (the walk commutes with
-    positive scaling) and keeps its normalized row in integers.
+    positive scaling) and keeps its normalized row in integers.  The walk
+    stops at the first exact repeat: each lap's row is compared with one
+    anchor row, moved to laps 1, 2, 4, 8, ... (Brent, 1980).  A lap whose
+    row equals the anchor's is on the anchor's ray, and the next sign and
+    row depend only on the ray, so the remaining laps replay the rows and
+    signs since the anchor, as the same tuple objects, without walking.
+    An orbit that never repeats pays one tuple comparison per lap.
     """
     if not is_loop(path):
         raise LoopRequiredError("orbit iteration needs a mutation loop")
@@ -116,11 +126,19 @@ def iterate_orbit(
     point, d, _ = point_to_ints(w)
     walk = path.compiled.walk
     signs, rows = [], []
-    for _ in range(n_max):
+    anchor, anchor_lap = None, 0
+    for lap in range(1, n_max + 1):
         sign, _, point = walk(point, d)
         point, row = normalize_ints(point, d)
         signs.append(sign)
         rows.append(row)
+        if row == anchor:
+            period, rest = lap - anchor_lap, n_max - lap
+            signs.extend(islice(cycle(signs[-period:]), rest))
+            rows.extend(islice(cycle(rows[-period:]), rest))
+            break
+        if not lap & (lap - 1):
+            anchor, anchor_lap = row, lap
     report = OrbitReport(point=w, signs=signs, rows=rows, d=d, window=window)
     report.detected_stable = detect_stable_sign(report, window)
     weak = detect_weak_stable_sign(report, window)
@@ -236,10 +254,11 @@ def realizable_branches(
         step = steps[step_idx]
         functional = matrix[step.kp]
         g = math.gcd(*functional) or 1
+        primitive = tuple(f // g for f in functional)
         x = tableau.witness
         sides = (1, -1) if stable is None or stable[nu] == 0 else (stable[nu],)
         for side in sides:
-            row = tuple(side * f // g for f in functional)
+            row = primitive if side > 0 else tuple(map(neg, primitive))
             if sum(map(mul, row, x)) <= 0 and certified_empty(row, rows):
                 continue
             child = tableau.extend(row)
@@ -604,12 +623,15 @@ def stretch_factor(
 
 
 def verify_eigenpair(m: mx.Matrix, lam: Scalar, x: Sequence[Scalar]) -> bool:
-    """Exact check M x = lambda x."""
+    """Exact check M x = lambda x with x != 0: the zero vector is no
+    eigenvector, whatever lambda is."""
     if len(m) != len(x):
         raise DimensionMismatchError("matrix and vector sizes differ")
     for row in m:
         if len(row) != len(x):
             raise DimensionMismatchError("matrix is not square")
+    if all(xi == 0 for xi in x):
+        return False
     for i, row in enumerate(m):
         lhs = sum((c * xi for c, xi in zip(row, x)), start=Fraction(0))
         if lhs != lam * x[i]:

@@ -138,7 +138,7 @@ def test_domain_error_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["sign", "signs-enumerate"])
 def test_flip_index_checked_on_load(capsys, tmp_path, command):
-    path = json.load(open(f"{DATA}/a2_path.json"))
+    path = json.loads(Path(f"{DATA}/a2_path.json").read_text())
     path["steps"].append({"flip": 5})
     path_file = tmp_path / "path.json"
     path_file.write_text(json.dumps(path))
@@ -154,7 +154,7 @@ def test_flip_index_checked_on_load(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["sign", "orbit", "signs-enumerate"])
 def test_perm_length_checked_on_load(capsys, tmp_path, command):
-    path = json.load(open(f"{DATA}/a2_path.json"))
+    path = json.loads(Path(f"{DATA}/a2_path.json").read_text())
     path["steps"].append({"perm": [0]})
     path_file = tmp_path / "path.json"
     path_file.write_text(json.dumps(path))
@@ -247,6 +247,18 @@ def test_eigencheck_rational_matrix(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["result"]["verified"] is True
     assert doc["inputs"]["matrix"] == [["1/2", 1], [0, 2]]
+
+
+@pytest.mark.parametrize("matrix, eigenvalue, vector", [
+    ("[[2]]", "5", "[0]"),
+    ("[[1,2],[3,4]]", "17", '[0,"0+0*sqrt(5)"]'),
+])
+def test_eigencheck_rejects_the_zero_vector(capsys, matrix, eigenvalue, vector):
+    code, out, err = run(capsys, "eigencheck", "--matrix", matrix,
+                         "--eigenvalue", eigenvalue, "--vector", vector)
+    assert code == 0
+    assert json.loads(out)["result"]["verified"] is False
+    assert "REJECTED" in err
 
 
 # input files of test_bad_flags_give_json_errors, named in its argv
@@ -676,6 +688,25 @@ def test_sphere3b_orbit_report_is_pinned(capsys, data_dir, label):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == SPHERE3B_ORBIT_SHA256[label]
+
+
+# sha256 of the sphere3b orbit report from L_minus over 200 laps, recorded
+# while every lap was still walked: L_minus is a projective fixed point,
+# so the orbit now walks 2 laps and replays the rest
+SPHERE3B_PERIODIC_ORBIT_SHA256 = (
+    "af44727a5758b929aaa7b1ebea2a90651fbda1add45239fc101d408a800008d7"
+)
+
+
+def test_sphere3b_periodic_orbit_report_is_pinned(capsys, data_dir):
+    points = json.loads((data_dir / "sphere3b_points.json").read_text())
+    code, out, _ = run(capsys, "--json-only", "orbit",
+                       "--path", f"{DATA}/sphere3b_path.json",
+                       "--point", json.dumps(points["L_minus"]),
+                       "--iters", "200")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == SPHERE3B_PERIODIC_ORBIT_SHA256
 
 
 def test_mixed_point_transport_trace_is_pinned(capsys):

@@ -12,6 +12,7 @@ point to QuadExts before its first step.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -274,3 +275,63 @@ def test_orbits_match_step_by_step_walk():
             want = _reference_orbit(path, w, laps)
             got = iterate_orbit(path, w, laps).iterations
             assert [(s, _typed(p)) for s, p in got] == want, (path, w)
+
+
+# periodic loops: (path, period of the normalized orbit, start points)
+def _periodic_cases(rng):
+    order5 = MutationPath(Seed([[0, -1], [1, 0]], frozenset({0, 1})),
+                          (Flip(0), Permute((1, 0))))
+    cases = [(order5, 5, [_random_point(rng, 2, quadratic=False),
+                          _random_point(rng, 2, quadratic=True),
+                          (Fraction(0), Fraction(0))])]
+    for _ in range(6):
+        path = _there_and_back(_random_path(rng))
+        n = path.initial.n_uf
+        cases.append((path, 1, [_random_point(rng, n, quadratic=False),
+                                _random_point(rng, n, quadratic=True)]))
+    sphere = sio.load_path(f"{DATA}/sphere3b_path.json")
+    with open(f"{DATA}/sphere3b_points.json", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    scale = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+    cases.append((sphere, 1, [tuple(scale * x for x in sio.point_from_obj(raw[k]))
+                              for k in ("L_plus", "L_minus")]))
+    return cases
+
+
+def _reference_detection(signs, window):
+    """(stable sign, weak stable sign, stabilization index) of a sign list,
+    by the definitions: the trailing `window` signs and the last run."""
+    h = len(signs[0])
+    if len(signs) < window:
+        stable, weak = None, (0,) * h
+    else:
+        tail = signs[-window:]
+        same = all(s == tail[0] for s in tail)
+        stable = tail[0] if same and 0 not in tail[0] else None
+        weak = tuple(col[0] if len(set(col)) == 1 else 0 for col in zip(*tail))
+    start = min(i for i in range(len(signs))
+                if all(s == signs[-1] for s in signs[i:]))
+    return stable, weak, (start if start < len(signs) - 1 else None)
+
+
+def test_periodic_orbits_match_step_by_step_walk():
+    """Orbits that repeat exactly stop walking and replay their cycle: every
+    lap and detection field still matches the step-by-step walk, for orbit
+    lengths on either side of the period and windows across the repeat."""
+    rng = random.Random(23)
+    for path, p, points in _periodic_cases(rng):
+        for w in points:
+            longest = _reference_orbit(path, w, 3 * p + 2)
+            for n_max in sorted({1, 2, p - 1, p, p + 1, 3 * p + 2} - {0}):
+                want = longest[:n_max]
+                signs = [s for s, _ in want]
+                for window in [None, *sorted({2, p + 1, n_max, n_max + 1} - {1})]:
+                    report = iterate_orbit(path, w, n_max, window=window)
+                    got = [(s, _typed(q)) for s, q in report.iterations]
+                    assert got == want, (path, w, n_max)
+                    assert len(report.rows) == len(report.signs) == n_max
+                    detected = (report.detected_stable,
+                                report.detected_weak_stable,
+                                report.stabilization_index)
+                    assert detected == _reference_detection(
+                        signs, report.window), (path, w, n_max, window)

@@ -44,6 +44,7 @@ from signstab import (
     verify_eigenpair,
 )
 from signstab import io as sio
+from signstab import seeds
 
 from test_seeds import A2, kronecker
 
@@ -126,6 +127,36 @@ def test_orbit_normalization_preserves_signs():
             expected.append(sign_of_path(path, unnormalized))
             unnormalized = transport(path, unnormalized)[0]
         assert [s for s, _ in r1.iterations] == expected
+
+
+def test_periodic_orbit_stops_walking_at_its_first_repeat(monkeypatch, data_dir):
+    """A periodic orbit walks the loop only until a lap repeats an anchor
+    lap exactly, then replays its cycle as the same row tuples; an orbit
+    that never repeats walks every lap."""
+    walked = []
+    walk = seeds.CompiledPath.walk
+
+    def counted(self, point, d=0):
+        walked.append(1)
+        return walk(self, point, d)
+
+    monkeypatch.setattr(seeds.CompiledPath, "walk", counted)
+    points = json.loads((data_dir / "sphere3b_points.json").read_text())
+    sphere = sio.load_path(data_dir / "sphere3b_path.json")
+    for path, w, laps, most, period in [
+        (sphere, sio.point_from_obj(points["L_plus"]), 200, 3, 1),
+        (kron_path(1), frac(1, 2), 50, 16, 5),
+        (sphere, sio.point_from_obj(points["l_plus"]), 40, 40, None),
+    ]:
+        walked.clear()
+        report = iterate_orbit(path, w, laps)
+        assert len(report.rows) == len(report.signs) == laps
+        if period is None:
+            assert len(walked) == laps
+        else:
+            assert len(walked) <= most
+            assert all(report.rows[i] is report.rows[i - period]
+                       for i in range(most, laps))
 
 
 # -- sign order ------------------------------------------------------------------
@@ -462,6 +493,14 @@ def test_verify_eigenpair_examples():
     lam = QuadExt(F(3, 2), F(1, 2), 5)
     assert verify_eigenpair(((3, 1), (-1, 0)), lam, (lam, F(-1)))
     assert not verify_eigenpair(((3, 1), (-1, 0)), lam, (lam, F(1)))
+
+
+def test_verify_eigenpair_rejects_the_zero_vector():
+    # M 0 = lambda 0 for every lambda, but an eigenvector is nonzero
+    assert not verify_eigenpair(((2,),), F(5), (F(0),))
+    zero = (F(0), QuadExt(0, 0, 5))
+    assert not verify_eigenpair(((1, 2), (3, 4)), F(17), zero)
+    assert not verify_eigenpair(((1, 2), (3, 4)), QuadExt(1, 1, 5), zero)
 
 
 def test_verify_eigenpair_radicand_mismatch():
