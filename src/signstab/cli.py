@@ -189,14 +189,20 @@ def cmd_orbit(args):
     report, inputs, result = _orbit(args)
     d = report.d
     # a periodic orbit replays its rows as the same tuples: render each
-    # tuple once, keyed by identity so that no row's integers are hashed
+    # tuple once, keyed by identity so that no row's integers are hashed;
+    # a sign is a short tuple of small ints, keyed by value, so an orbit
+    # sitting on its stable sign also writes that sign's text once
     points = {}
+    texts = {}
     iterations = result["iterations"] = []
     for i, (s, row) in enumerate(zip(report.signs, report.rows)):
         point = points.get(id(row))
         if point is None:
             point = points[id(row)] = sio.row_json(row, d)
-        iterations.append({"n": i + 1, "sign": sign_str(s), "point": point})
+        text = texts.get(s)
+        if text is None:
+            text = texts[s] = sign_str(s)
+        iterations.append({"n": i + 1, "sign": text, "point": point})
     result["stabilization_index"] = report.stabilization_index
     return (inputs, result,
             f"orbit of {args.iters} iterations, stable={result['stable']}")

@@ -11,11 +11,10 @@ itself is user input, never synthesized here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatchError, FrozenIndexError, SplitViolationError
-from .scalars import Scalar
+from .scalars import FrozenRecord, Record, Scalar
 from .seeds import Flip, FlipStep, MutationPath, Seed
 from .stability import (
     IntPoly,
@@ -26,14 +25,13 @@ from .stability import (
 from .tropical import SignSeq, TropPoint, check_point, sign_of_path, transport
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(FrozenRecord):
     """Rational polyhedral cone spanned by generator points (initial chart)."""
 
-    generators: tuple[TropPoint, ...]
+    _fields = ("generators",)
 
-    def __post_init__(self):
-        gens = tuple(tuple(g) for g in self.generators)
+    def __init__(self, generators: tuple[TropPoint, ...]):
+        gens = tuple(tuple(g) for g in generators)
         if not gens:
             raise ValueError("cone needs at least one generator")
         if len({len(g) for g in gens}) != 1:
@@ -76,11 +74,14 @@ def cone_sign_caveat(path: MutationPath, cone: Cone) -> bool:
     return compatibility(path, cone)[1]
 
 
-@dataclass
-class HereditaryReport:
-    passes: bool
-    compatible_positions: list[int]
-    violations: list[int]
+class HereditaryReport(Record):
+    _fields = ("passes", "compatible_positions", "violations")
+
+    def __init__(self, passes: bool, compatible_positions: list[int],
+                 violations: list[int]):
+        self.passes = passes
+        self.compatible_positions = compatible_positions
+        self.violations = violations
 
 
 def hereditary_check(
@@ -124,13 +125,18 @@ def project_point(seed: Seed, w: Sequence[Scalar], j_uf: Sequence[int]) -> TropP
     return tuple(w[p] for p, idx in enumerate(order) if idx in j_uf)
 
 
-@dataclass
-class BlockReport:
-    ok: bool
-    zero_block_exact: bool
-    sign_count: int
-    max_radius_diff: float
-    details: list[tuple[SignSeq, float, float]]
+class BlockReport(Record):
+    _fields = ("ok", "zero_block_exact", "sign_count", "max_radius_diff",
+               "details")
+
+    def __init__(self, ok: bool, zero_block_exact: bool, sign_count: int,
+                 max_radius_diff: float,
+                 details: list[tuple[SignSeq, float, float]]):
+        self.ok = ok
+        self.zero_block_exact = zero_block_exact
+        self.sign_count = sign_count
+        self.max_radius_diff = max_radius_diff
+        self.details = details
 
 
 def block_structure_check(

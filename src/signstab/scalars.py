@@ -5,12 +5,15 @@ a + b*sqrt(d) with rational a, b and a fixed square-free radicand d >= 2.
 Mixing two distinct radicands is an error; rationals promote into any
 radicand.  Sign determination is exact, which is what the whole sign
 machinery of the engine rests on.
+
+:class:`Record` and :class:`FrozenRecord`, the bases of the engine's
+record classes, live here too: every module with a record class imports
+this one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -65,19 +68,57 @@ def quad_sign(a: int, b: int, d: int) -> int:
     return -sb if a * a > d * b * b else sb
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class Record:
+    """Field-wise ``==`` and ``repr`` for a record class.
+
+    A subclass names its fields in ``_fields``, in constructor order, and
+    sets them in its own ``__init__``.  Two records are equal when they
+    are of the same class with equal fields.  A Record is mutable and
+    unhashable; see :class:`FrozenRecord`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record hashed by its fields, which its ``__init__`` sets once with
+    ``object.__setattr__``: any later assignment or deletion raises
+    AttributeError.  A ``functools.cached_property`` still fills in."""
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QuadExt(FrozenRecord):
     """The real number a + b*sqrt(d), exact."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    _fields = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not _is_square_free(self.d):
-            raise ValueError(f"radicand {self.d} is not square-free and >= 2")
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "d", d)
+        if not _is_square_free(d):
+            raise ValueError(f"radicand {d} is not square-free and >= 2")
 
     @classmethod
     def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":

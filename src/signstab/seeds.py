@@ -25,7 +25,6 @@ are built only where a caller hands a point back (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -35,26 +34,25 @@ from .errors import (
     SignCoherenceError,
     SplitViolationError,
 )
-from .scalars import quad_sign
+from .scalars import FrozenRecord, quad_sign
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(FrozenRecord):
     """Skew-symmetric integer exchange matrix with an unfrozen index subset."""
 
-    b: mx.Matrix
-    unfrozen: frozenset[int]
+    _fields = ("b", "unfrozen")
 
-    def __post_init__(self):
-        b = mx.freeze(self.b)
+    def __init__(self, b: mx.Matrix, unfrozen: frozenset[int]):
+        b = mx.freeze(b)
+        unfrozen = frozenset(unfrozen)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "unfrozen", frozenset(self.unfrozen))
+        object.__setattr__(self, "unfrozen", unfrozen)
         n = len(b)
         if not mx.is_skew_symmetric(b):
             raise ValueError("exchange matrix must be skew-symmetric")
         if any(not isinstance(x, int) for row in b for x in row):
             raise ValueError("exchange matrix must be integer")
-        if not all(0 <= i < n for i in self.unfrozen):
+        if not all(0 <= i < n for i in unfrozen):
             raise ValueError("unfrozen indices out of range")
 
     @property
@@ -78,31 +76,32 @@ class Seed:
             raise FrozenIndexError(f"index {k} is frozen or out of range")
 
 
-@dataclass(frozen=True)
-class Flip:
-    k: int
+class Flip(FrozenRecord):
+    _fields = ("k",)
+
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
-class Permute:
-    sigma: tuple[int, ...]
+class Permute(FrozenRecord):
+    _fields = ("sigma",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        if sorted(self.sigma) != list(range(len(self.sigma))):
-            raise ValueError(f"not a permutation: {self.sigma}")
+    def __init__(self, sigma: tuple[int, ...]):
+        sigma = tuple(sigma)
+        object.__setattr__(self, "sigma", sigma)
+        if sorted(sigma) != list(range(len(sigma))):
+            raise ValueError(f"not a permutation: {sigma}")
 
 
 PathStep = Flip | Permute
 
 
-@dataclass(frozen=True)
-class MutationPath:
-    initial: Seed
-    steps: tuple[PathStep, ...] = field(default_factory=tuple)
+class MutationPath(FrozenRecord):
+    _fields = ("initial", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, initial: Seed, steps: tuple[PathStep, ...] = ()):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def h(self) -> int:
@@ -175,8 +174,7 @@ class PermStep(NamedTuple):
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CompiledPath:
+class CompiledPath(FrozenRecord):
     """A mutation path as linear data on unfrozen positions.
 
     Built once per path (see ``MutationPath.compiled``) in one pass over
@@ -188,9 +186,13 @@ class CompiledPath:
     ``mutate_b`` and ``apply_perm`` are the one-step case.
     """
 
-    n: int
-    steps: tuple[FlipStep | PermStep, ...]
-    end: Seed
+    _fields = ("n", "steps", "end")
+
+    def __init__(self, n: int, steps: tuple[FlipStep | PermStep, ...],
+                 end: Seed):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "end", end)
 
     @classmethod
     def build(cls, path: MutationPath) -> "CompiledPath":
@@ -359,8 +361,7 @@ def cg_matrices(path: MutationPath) -> tuple[mx.Matrix, mx.Matrix]:
 # -- triangulations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(FrozenRecord):
     """Ideal triangulation given by arc labels and clockwise triangle triples.
 
     Every non-frozen arc must bound exactly two triangle slots and every
@@ -368,23 +369,23 @@ class Triangulation:
     (self-folded) are rejected.
     """
 
-    arcs: tuple[str, ...]
-    frozen_arcs: frozenset[str]
-    triangles: tuple[tuple[str, str, str], ...]
+    _fields = ("arcs", "frozen_arcs", "triangles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "frozen_arcs", frozenset(self.frozen_arcs))
-        object.__setattr__(
-            self, "triangles", tuple(tuple(t) for t in self.triangles)
-        )
-        known = set(self.arcs)
-        if len(self.arcs) != len(known):
+    def __init__(self, arcs: tuple[str, ...], frozen_arcs: frozenset[str],
+                 triangles: tuple[tuple[str, str, str], ...]):
+        arcs = tuple(arcs)
+        frozen_arcs = frozenset(frozen_arcs)
+        triangles = tuple(tuple(t) for t in triangles)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "frozen_arcs", frozen_arcs)
+        object.__setattr__(self, "triangles", triangles)
+        known = set(arcs)
+        if len(arcs) != len(known):
             raise ValueError("duplicate arc labels")
-        if not self.frozen_arcs <= known:
+        if not frozen_arcs <= known:
             raise ValueError("frozen arcs not among arcs")
-        counts = {a: 0 for a in self.arcs}
-        for tri in self.triangles:
+        counts = {a: 0 for a in arcs}
+        for tri in triangles:
             if len(tri) != 3:
                 raise ValueError(f"triangle {tri} does not have three sides")
             if len(set(tri)) != 3:
@@ -394,7 +395,7 @@ class Triangulation:
                     raise ValueError(f"unknown arc {a!r} in triangle {tri}")
                 counts[a] += 1
         for a, cnt in counts.items():
-            want = 1 if a in self.frozen_arcs else 2
+            want = 1 if a in frozen_arcs else 2
             if cnt != want:
                 raise ValueError(
                     f"arc {a!r} occurs in {cnt} triangle slots, expected {want}"

@@ -35,7 +35,6 @@ through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
 from operator import mul, neg
@@ -50,7 +49,7 @@ from .errors import (
     SignstabError,
 )
 from .feasibility import Tableau, check_gordan
-from .scalars import Scalar, scalar_sign
+from .scalars import FrozenRecord, Record, Scalar, scalar_sign
 from .seeds import MutationPath, PermStep, Seed, is_loop
 from .tropical import (
     SignSeq,
@@ -67,8 +66,7 @@ from .tropical import (
 # -- orbits -------------------------------------------------------------------
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(Record):
     """Signs and normalized points along the forward orbit of a loop.
 
     signs[i] is the sign of the path at phi^i(w) and rows[i] the
@@ -81,15 +79,25 @@ class OrbitReport:
     the trailing `window` signs only.
     """
 
-    point: TropPoint
-    signs: list[SignSeq]
-    rows: list[tuple]
-    d: int
-    window: int
-    detected_stable: Optional[SignSeq] = None
-    detected_weak_stable: Optional[SignSeq] = None
-    stabilization_index: Optional[int] = None
-    all_zero_warning: bool = False
+    _fields = ("point", "signs", "rows", "d", "window", "detected_stable",
+               "detected_weak_stable", "stabilization_index",
+               "all_zero_warning")
+
+    def __init__(self, point: TropPoint, signs: list[SignSeq],
+                 rows: list[tuple], d: int, window: int,
+                 detected_stable: Optional[SignSeq] = None,
+                 detected_weak_stable: Optional[SignSeq] = None,
+                 stabilization_index: Optional[int] = None,
+                 all_zero_warning: bool = False):
+        self.point = point
+        self.signs = signs
+        self.rows = rows
+        self.d = d
+        self.window = window
+        self.detected_stable = detected_stable
+        self.detected_weak_stable = detected_weak_stable
+        self.stabilization_index = stabilization_index
+        self.all_zero_warning = all_zero_warning
 
     @property
     def iterations(self) -> list[tuple[SignSeq, TropPoint]]:
@@ -299,14 +307,13 @@ def enumerate_realizable_signs(
 # -- polynomials ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(FrozenRecord):
     """Integer polynomial, coefficients in ascending degree."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        c = tuple(int(x) for x in coeffs)
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         if not c:
@@ -571,13 +578,20 @@ def spectral_radius(m: mx.Matrix) -> tuple[float, float]:
 # -- stretch factor -----------------------------------------------------------
 
 
-@dataclass
-class StretchReport:
-    value: float
-    table: list[tuple[SignSeq, float, float]]
-    radii_all_equal: bool
-    exact_verified: Optional[bool] = None
-    exact_value: Optional[Scalar] = None
+class StretchReport(Record):
+    _fields = ("value", "table", "radii_all_equal", "exact_verified",
+               "exact_value")
+
+    def __init__(self, value: float,
+                 table: list[tuple[SignSeq, float, float]],
+                 radii_all_equal: bool,
+                 exact_verified: Optional[bool] = None,
+                 exact_value: Optional[Scalar] = None):
+        self.value = value
+        self.table = table
+        self.radii_all_equal = radii_all_equal
+        self.exact_verified = exact_verified
+        self.exact_value = exact_value
 
 
 def stretch_factor(

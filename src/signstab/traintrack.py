@@ -8,59 +8,55 @@ atlas is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import pos_part
+from .scalars import FrozenRecord, pos_part
 
 
-@dataclass(frozen=True)
-class TrainTrack:
+class TrainTrack(FrozenRecord):
     """Trivalent graph: each switch joins one incoming edge to two outgoing."""
 
-    edges: tuple[str, ...]
-    switches: tuple[tuple[str, tuple[str, str]], ...]
-    boundary_edges: frozenset[str]
+    _fields = ("edges", "switches", "boundary_edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(
-            self,
-            "switches",
-            tuple((e0, (e1, e2)) for e0, (e1, e2) in self.switches),
-        )
-        object.__setattr__(self, "boundary_edges", frozenset(self.boundary_edges))
-        known = set(self.edges)
-        for e0, (e1, e2) in self.switches:
+    def __init__(self, edges: tuple[str, ...],
+                 switches: tuple[tuple[str, tuple[str, str]], ...],
+                 boundary_edges: frozenset[str]):
+        edges = tuple(edges)
+        switches = tuple((e0, (e1, e2)) for e0, (e1, e2) in switches)
+        boundary_edges = frozenset(boundary_edges)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "switches", switches)
+        object.__setattr__(self, "boundary_edges", boundary_edges)
+        known = set(edges)
+        for e0, (e1, e2) in switches:
             for e in (e0, e1, e2):
                 if e not in known:
                     raise ValueError(f"unknown edge {e!r} in switch")
-        if not self.boundary_edges <= known:
+        if not boundary_edges <= known:
             raise ValueError("unknown boundary edge")
 
 
 Measure = Mapping[str, Fraction]
 
 
-@dataclass(frozen=True)
-class DTCoords:
+class DTCoords(FrozenRecord):
     """Intersection/twisting pairs per pants curve plus signed values per
     puncture; each (m, t) pair is defined up to the antipodal map."""
 
-    curve_pairs: tuple[tuple[Fraction, Fraction], ...]
-    puncture_values: tuple[Fraction, ...] = ()
+    _fields = ("curve_pairs", "puncture_values")
 
-    def __post_init__(self):
+    def __init__(self, curve_pairs: tuple[tuple[Fraction, Fraction], ...],
+                 puncture_values: tuple[Fraction, ...] = ()):
         object.__setattr__(
             self,
             "curve_pairs",
-            tuple((Fraction(m), Fraction(t)) for m, t in self.curve_pairs),
+            tuple((Fraction(m), Fraction(t)) for m, t in curve_pairs),
         )
         object.__setattr__(
             self,
             "puncture_values",
-            tuple(Fraction(v) for v in self.puncture_values),
+            tuple(Fraction(v) for v in puncture_values),
         )
 
     def normalized(self) -> "DTCoords":

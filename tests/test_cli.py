@@ -873,3 +873,25 @@ assert not tried, tried
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, cwd=SRC.parent, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """Every command starts in a fresh process, so the import is paid on
+    every run: `dataclasses` and the `inspect` it pulls in (with `ast`,
+    `dis` and `tokenize`) cost over a third of it, and the engine's record
+    classes need neither."""
+    code = """
+import sys
+before = set(sys.modules)
+import signstab.cli
+added = set(sys.modules) - before
+assert "signstab.cli" in added
+slow = sorted(added & {"dataclasses", "inspect"})
+assert not slow, slow
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=SRC.parent, timeout=120)
+    assert run.returncode == 0, run.stderr
