@@ -220,10 +220,11 @@ def cmd_signs_enumerate(args):
         path, max_branch=args.max_branch
     )
     signs = sorted(found)
+    texts = [sign_str(s) for s in signs]
     result = {
         "count": len(signs),
-        "signs": [sign_str(s) for s in signs],
-        "witnesses": {sign_str(s): list(found[s]) for s in signs},
+        "signs": texts,
+        "witnesses": {t: found[s] for t, s in zip(texts, signs)},
     }
     return ({"path": sio.path_to_obj(path)}, result,
             f"{len(signs)} realizable strict sign sequences")
@@ -436,8 +437,7 @@ def cmd_track_validate(args):
 
 def _write_error(args, exc: SignstabError) -> None:
     error = {"error": type(exc).__name__, "message": str(exc)}
-    text = json.dumps({"schema_version": sio.SCHEMA_VERSION, **error},
-                      sort_keys=True, indent=2) + "\n"
+    text = sio.render_json({"schema_version": sio.SCHEMA_VERSION, **error})
     try:
         _write(args, text)
     except UsageError:  # the -o file itself cannot be written

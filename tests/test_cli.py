@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from signstab import io as sio
 from signstab.cli import build_parser, main
 
 DATA = "tests/data"
@@ -812,6 +813,52 @@ def test_readme_commands_run(capsys, monkeypatch, line):
     code, out, err = run(capsys, "--json-only", *shlex.split(line)[1:])
     assert (code, err) == (0, "")
     json.loads(out)
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    *[pytest.param(shlex.split(line)[1:], 0, id=line.split()[1])
+      for line in _readme_commands()],
+    pytest.param(["sign", "--path", f"{DATA}/a2_path.json", "--point", "[1]"],
+                 1, id="domain-error"),
+    pytest.param(["orbit", "--path", f"{DATA}/kron3_path.json", "--point",
+                  "[1,0]", "--iters", "2", "--window", "3"], 2,
+                 id="handler-usage-error"),
+    pytest.param(["orbit", "--path", f"{DATA}/kron3_path.json", "--point",
+                  "[1,0]", "--iters", "0"], 2, id="parser-usage-error"),
+])
+def test_writer_matches_json_dumps_on_cli_reports(capsys, monkeypatch, argv,
+                                                  want_code):
+    """Each README example's report and an error report of each exit code,
+    checked against json.dumps on the very document the command wrote."""
+    monkeypatch.chdir(SRC.parent)
+    written = []
+    render_json = sio.render_json
+
+    def record(doc):
+        written.append((doc, render_json(doc)))
+        return written[-1][1]
+
+    monkeypatch.setattr(sio, "render_json", record)
+    try:
+        code = main(["--json-only", *argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    [(doc, text)] = written
+    assert (code, capsys.readouterr().out) == (want_code, text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_signs_enumerate_writes_each_sign_once(capsys, monkeypatch):
+    import signstab.cli
+    calls = []
+    sign_str = signstab.cli.sign_str
+    monkeypatch.setattr(signstab.cli, "sign_str",
+                        lambda s: calls.append(s) or sign_str(s))
+    code, out, _ = run(capsys, "--json-only", "signs-enumerate",
+                       "--path", f"{DATA}/a2_path.json")
+    result = json.loads(out)["result"]
+    assert code == 0 and len(calls) == result["count"] == 5
+    assert set(result["witnesses"]) == set(result["signs"])
 
 
 def test_numpy_is_imported_only_for_a_radius():

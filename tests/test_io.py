@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import scalar_json as oracle_json
-from signstab import FormatError, QuadExt, SplitViolationError, format_scalar
+from signstab import (FormatError, MagnitudeError, QuadExt,
+                      SplitViolationError, format_scalar)
 from signstab import io as sio
 
 
@@ -155,6 +157,105 @@ def test_report_determinism():
     assert a == b
     doc = json.loads(a)
     assert doc["schema_version"] == 1
+
+
+def oracle_report(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class Big(int):
+    pass
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+WRITER_STRINGS = ["", "plain", 'a "quoted" word', "back\\slash", "tab\tand\nline",
+                  "\x00\x1f\x7f", "caf\u00e9 \u2713 \U0001d11e", "\u2028\ud800",
+                  "-1/2+1/2*sqrt(5)", Text("sub"), "+-0+"]
+WRITER_FLOATS = [0.0, -0.0, 1e300, -1e-300, 0.1, 2.5, float("nan"),
+                 float("inf"), float("-inf"), Real(1.5)]
+WRITER_LEAVES = [True, False, None, 0, -1, 10 ** 40, Big(7)]
+
+
+def random_leaf(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(WRITER_STRINGS)
+    if kind == 1:
+        return rng.choice(WRITER_FLOATS)
+    return rng.choice(WRITER_LEAVES + [rng.randint(-10 ** 20, 10 ** 20)])
+
+
+def random_doc(rng, depth):
+    """A random document: empty and nested dicts, lists and tuples, and
+    lists of mixed leaves."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_leaf(rng)
+    kind, n = rng.randrange(4), rng.randrange(5)
+    if kind == 0:
+        return {str(rng.choice(WRITER_STRINGS)): random_doc(rng, depth - 1)
+                for _ in range(n)}
+    if kind == 3:
+        return [random_leaf(rng) for _ in range(n)]
+    items = [random_doc(rng, depth - 1) for _ in range(n)]
+    return items if kind == 1 else tuple(items)
+
+
+def test_writer_matches_json_dumps_on_random_documents():
+    rng = random.Random(2020)
+    for _ in range(400):
+        doc = random_doc(rng, 5)
+        assert sio.render_json(doc) == oracle_report(doc)
+
+
+def test_writer_shared_lists():
+    """One list object four times at one indent (three laps and a dict
+    value), where its text is written twice and then reused, and once at
+    each of two other indents."""
+    row = [1, "a", None, -0.0]
+    doc = {"laps": [row, row, row], "nested": {"row": row}, "row": row,
+           "deep": [[row]]}
+    assert sio.render_json(doc) == oracle_report(doc)
+    assert sio.render_json([row, (row, row), row]) == oracle_report(
+        [row, (row, row), row])
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes",
+                                   Fraction(1, 2), 1j],
+                         ids=["object", "set", "bytes", "Fraction", "complex"])
+def test_writer_rejects_what_json_dumps_rejects(value):
+    doc = {"a": [1, {"b": value}]}
+    with pytest.raises(TypeError):
+        oracle_report(doc)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        sio.render_json(doc)
+
+
+def test_writer_int_past_the_digit_limit():
+    with pytest.raises(MagnitudeError):
+        sio.render_json({"a": [10 ** 4300]})
+    assert sio.render_json({"a": [10 ** 4299]}).count("0") == 4299
+
+
+def test_writer_leaves_no_garbage_cycle():
+    """An orbit-sized report is freed by reference counting alone."""
+    rows = [[f"{i}/7", i, "-1/2+1/2*sqrt(5)"] * 4 for i in range(3)]
+    laps = [{"n": n + 1, "sign": "+-0+" * 4, "point": rows[n % 3]}
+            for n in range(200)]
+    gc.collect()
+    gc.disable()
+    try:
+        text = sio.render_report("orbit", {"iters": 200}, {"iterations": laps})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == oracle_report(json.loads(text))
 
 
 EDGES = ["a", "b", "c"]
