@@ -289,18 +289,13 @@ def _float_json(x: float) -> str:
 
 # a leaf's JSON text by exact type; _json_text takes subclasses apart
 _LEAVES = {str: _encode, int: int.__repr__, float: _float_json,
-           bool: {True: "true", False: "false"}.__getitem__,
-           type(None): lambda _: "null"}
+           bool: json.dumps, type(None): json.dumps}
 
 
-def _json_text(obj, indent: str, memo: dict) -> str:
+def _json_text(obj, indent: str) -> str:
     """obj's text in ``render_json``, nested at ``indent`` (a newline and two
-    spaces a level).  A container is one join, its brackets glued to its
-    first and last items, so each level copies the text once.  ``memo``
-    maps the id of each list met to (indent, its text once met twice): a
-    periodic orbit's replayed row is written twice, not once a lap, and a
-    rational orbit's rows are not kept.  Not a closure, so a call builds no
-    reference cycle."""
+    spaces a level).  Each container is one join, its brackets glued to its
+    first and last items.  Not a closure, so it builds no reference cycle."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -310,45 +305,36 @@ def _json_text(obj, indent: str, memo: dict) -> str:
             return "{}"
         sep, chunks = "," + inner, []
         for key in sorted(obj):
-            chunks += sep, _encode(key), ": ", _json_text(obj[key], inner, memo)
+            chunks += sep, _encode(key), ": ", _json_text(obj[key], inner)
         chunks[0] = "{" + inner
         chunks.append(indent + "}")
         return "".join(chunks)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        seen = memo.get(id(obj))
-        if seen is not None and seen[0] == indent and seen[1] is not None:
-            return seen[1]
         parts = [_encode(x) if type(x) is str else int.__repr__(x)
-                 if type(x) is int else _json_text(x, inner, memo) for x in obj]
+                 if type(x) is int else _json_text(x, inner) for x in obj]
         parts[0] = "[" + inner + parts[0]
         parts[-1] += indent + "]"
-        text = ("," + inner).join(parts)
-        memo[id(obj)] = (indent, text if seen else None)
-        return text
-    for kind in (str, int, float):
-        if isinstance(obj, kind):
-            return _LEAVES[kind](obj)
+        return ("," + inner).join(parts)
+    if isinstance(obj, (str, int, float)):  # a subclass, as json writes it
+        return json.dumps(obj)
     raise TypeError(f"Object of type {type(obj).__name__} "
                     "is not JSON serializable")
 
 
 def render_json(doc) -> str:
-    """The one report writer, for reports and error reports alike: byte for
-    byte the text ``json.dumps`` writes with sorted keys and an indent of 2,
-    plus a newline, for dicts with string keys, lists, tuples, strings, ints,
-    floats, bools and None; any other value is a TypeError.  An integer of
-    over 4,300 digits, past Python's int-to-text limit, is a MagnitudeError;
-    the limit itself is left as it is."""
+    """The one report writer: byte for byte the text ``json.dumps`` writes
+    with sorted keys and an indent of 2, plus a newline, for dicts with
+    string keys, lists, tuples, strings, ints, floats, bools and None; any
+    other value is a TypeError.  An integer past Python's int-to-text limit
+    (4,300 digits) is a MagnitudeError; the limit itself is left as it is."""
     try:
-        text = _json_text(doc, "\n", {})
+        return _json_text(doc, "\n") + "\n"
     except ValueError:  # the only ValueError a report can raise
         raise MagnitudeError(
             "an integer in the report is past Python's int-to-text digit "
             "limit (4,300 digits by default)") from None
-    text += "\n"  # in place: the text has no other reference
-    return text
 
 
 def render_report(command: str, inputs: dict, result: dict) -> str:

@@ -216,8 +216,7 @@ def test_writer_matches_json_dumps_on_random_documents():
 
 def test_writer_shared_lists():
     """One list object four times at one indent (three laps and a dict
-    value), where its text is written twice and then reused, and once at
-    each of two other indents."""
+    value) and once at each of two other indents."""
     row = [1, "a", None, -0.0]
     doc = {"laps": [row, row, row], "nested": {"row": row}, "row": row,
            "deep": [[row]]}
