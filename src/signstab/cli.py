@@ -244,11 +244,11 @@ def cmd_presentation(args):
 
 
 def cmd_charpoly(args):
-    if args.matrix:
+    if args.matrix and not (args.path or args.sign):
         m = _int_matrix_arg(args.matrix)
         inputs = {"matrix": _matrix_json(m)}
-    elif not (args.path and args.sign):
-        raise UsageError("charpoly: need --matrix or both --path and --sign")
+    elif args.matrix or not (args.path and args.sign):
+        raise UsageError("charpoly: need --matrix alone, or --path and --sign")
     else:
         path = sio.load_path(args.path)
         eps = parse_sign_str(args.sign)

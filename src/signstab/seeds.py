@@ -275,11 +275,10 @@ class CompiledPath(FrozenRecord):
             m[i] = [x + c * y for x, y in zip(m[i], krow)]
         m[kp] = [-x for x in krow]
 
-    def branch(self, eps) -> list[list]:
+    def branch(self, eps) -> list:
         """The presentation matrix of the strict sign sequence eps: the
         product of all step matrices in application order."""
-        n = self.n
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        m = list(mx.identity(self.n))
         signs = iter(eps)
         for step in self.steps:
             s = next(signs) if type(step) is FlipStep else 0

@@ -11,16 +11,18 @@ one compiled step at a time.
 
 Realizable sign sequences come from one exact search over the sign tree
 (:func:`realizable_branches`), which enumeration, the block-structure
-check and the stretch-factor table all walk.  Each realizable sequence
-comes with the primitive integer witness the search found, and that
-tuple of ints is the one witness form every caller receives.  Each node
-keeps the feasibility tableau of its open cone; a child prices its one
-new row against its parent's tableau and either shares that tableau and
-inherits its witness, or pivots on from the parent's basis.  An empty child
-leaves a Gordan multiplier behind, and the search keeps it: any later
-child whose cone holds all of that multiplier's rows is pruned by it,
-checked again exactly, without a solve.  Nothing is sampled, so
-enumeration depends on no random seed.
+check and the stretch-factor table all walk.  It is one recursive
+generator that takes its whole state as arguments, so a search leaves no
+reference cycle behind.  Each realizable sequence comes with the primitive
+integer witness the search found, and that tuple of ints is the one
+witness form every caller receives.  Each node keeps the feasibility
+tableau of its open cone; a child prices its one new row against its
+parent's tableau and either shares that tableau and inherits its witness,
+or pivots on from the parent's basis.  An empty child leaves a Gordan
+multiplier behind, and the search keeps it: any later child whose cone
+holds all of that multiplier's rows is pruned by it, checked again
+exactly, without a solve.  Nothing is sampled, so enumeration depends on
+no random seed.
 
 Every spectral radius is read off the exact integer characteristic
 polynomial in one pass: its repeated roots are removed exactly, and
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import count, cycle, islice
 from operator import mul, neg
 from typing import Optional, Sequence
 
@@ -50,7 +52,7 @@ from .errors import (
 )
 from .feasibility import Tableau, check_gordan
 from .scalars import FrozenRecord, Record, Scalar, scalar_sign
-from .seeds import MutationPath, PermStep, Seed, is_loop
+from .seeds import CompiledPath, MutationPath, PermStep, Seed, is_loop
 from .tropical import (
     SignSeq,
     TropPoint,
@@ -230,45 +232,45 @@ def realizable_branches(
     """
     if max_branch is not None and max_branch < 1:
         raise ValueError("max_branch must be >= 1")
-    h = path.h
-    if stable is not None and len(stable) != h:
+    if stable is None:
+        stable = (0,) * path.h
+    elif len(stable) != path.h:
         raise DimensionMismatchError("stable sign has wrong length")
-    compiled = path.compiled
-    steps, apply_left = compiled.steps, compiled.apply_left
-    budget = max_branch
-    # row -> (the other rows, multiplier) for each kept multiplier whose
-    # support holds that row
-    multipliers = {}
+    n = path.compiled.n
+    visits = count() if max_branch is None else iter(range(max_branch))
+    return _sign_tree(path.compiled.steps, stable, visits, {}, 0,
+                      list(mx.identity(n)), Tableau.empty(n), frozenset(), ())
 
-    def certified_empty(row, rows):
-        for others, multiplier in multipliers.get(row, ()):
-            if others <= rows:
+
+def _sign_tree(steps, stable, visits, multipliers, step_idx, matrix, tableau,
+               rows, prefix):
+    """The realizable branches below the node that took the first step_idx
+    steps with the signs in prefix (see :func:`realizable_branches`): matrix
+    is its running product, a list of rows relabeled here in place, and
+    tableau and rows its open cone.  Each visit takes one item of visits;
+    multipliers files each kept multiplier under each row of its support."""
+    if next(visits, None) is None:
+        raise SignstabError("branch budget exhausted (max_branch)")
+    while step_idx < len(steps) and type(steps[step_idx]) is PermStep:
+        CompiledPath.apply_left(matrix, steps[step_idx])
+        step_idx += 1
+    if step_idx == len(steps):
+        yield prefix, tableau.witness, mx.freeze(matrix)
+        return
+    step = steps[step_idx]
+    functional = matrix[step.kp]
+    g = math.gcd(*functional) or 1
+    primitive = tuple(f // g for f in functional)
+    x = tableau.witness
+    fixed = stable[len(prefix)]
+    for side in (fixed,) if fixed else (1, -1):
+        row = primitive if side > 0 else tuple(map(neg, primitive))
+        kept = multipliers.get(row, ()) if sum(map(mul, row, x)) <= 0 else ()
+        for others, multiplier in kept:
+            if others <= rows:  # the multiplier proves this cone empty
                 check_gordan(multiplier)
-                return True
-        return False
-
-    def dfs(step_idx, nu, matrix, tableau, rows, prefix):
-        nonlocal budget
-        if budget is not None:
-            if budget == 0:
-                raise SignstabError("branch budget exhausted (max_branch)")
-            budget -= 1
-        while step_idx < len(steps) and type(steps[step_idx]) is PermStep:
-            apply_left(matrix, steps[step_idx])
-            step_idx += 1
-        if nu == h:
-            yield tuple(prefix), tableau.witness, mx.freeze(matrix)
-            return
-        step = steps[step_idx]
-        functional = matrix[step.kp]
-        g = math.gcd(*functional) or 1
-        primitive = tuple(f // g for f in functional)
-        x = tableau.witness
-        sides = (1, -1) if stable is None or stable[nu] == 0 else (stable[nu],)
-        for side in sides:
-            row = primitive if side > 0 else tuple(map(neg, primitive))
-            if sum(map(mul, row, x)) <= 0 and certified_empty(row, rows):
-                continue
+                break
+        else:
             child = tableau.extend(row)
             if type(child) is not Tableau:
                 support = {r for r, _ in child}
@@ -276,13 +278,10 @@ def realizable_branches(
                     multipliers.setdefault(r, []).append((support - {r}, child))
                 continue
             child_matrix = list(matrix)
-            apply_left(child_matrix, step, side)
-            yield from dfs(step_idx + 1, nu + 1, child_matrix, child,
-                           rows | {row}, prefix + [side])
-
-    n = compiled.n
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return dfs(0, 0, identity, Tableau.empty(n), frozenset(), [])
+            CompiledPath.apply_left(child_matrix, step, side)
+            yield from _sign_tree(steps, stable, visits, multipliers,
+                                  step_idx + 1, child_matrix, child,
+                                  rows | {row}, prefix + (side,))
 
 
 def enumerate_realizable_signs_with_witnesses(

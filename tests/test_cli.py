@@ -338,6 +338,8 @@ NINES_400 = "9" * 400
     ["track-validate", "--track", "TRACK_LONG_SWITCH", "--measure", "{}"],
     ["track-validate", "--track", "TRACK_STR_BOUNDARY", "--measure", "{}"],
     ["track-validate", "--track", "TRACK_INT_BOUNDARY", "--measure", "{}"],
+    ["charpoly", "--matrix", "[[1,2],[3,4]]",
+     "--path", f"{DATA}/kron3_path.json", "--sign", "+"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}

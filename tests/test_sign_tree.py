@@ -15,6 +15,7 @@ by multiplying out the edge and relabeling matrices.  Then
   unreported sequence is realizable.
 """
 
+import gc
 import random
 
 import pytest
@@ -26,7 +27,11 @@ from signstab import (
     Permute,
     Seed,
     SignstabError,
+    enumerate_realizable_signs,
     enumerate_realizable_signs_with_witnesses,
+    parse_sign_str,
+    realizable_branches,
+    stretch_factor,
 )
 
 CASES = 80
@@ -163,3 +168,30 @@ def test_max_branch_below_one_rejected(max_branch):
     path = MutationPath(Seed([[0, 1], [-1, 0]], {0, 1}), (Flip(0),))
     with pytest.raises(ValueError):
         enumerate_realizable_signs_with_witnesses(path, max_branch=max_branch)
+
+
+def test_sign_tree_leaves_no_garbage_cycle(sphere_path, sphere_points):
+    """A sign-tree search, finished, dropped after its first branch or
+    stopped by its budget, is freed by reference counting alone."""
+    eps_stab = parse_sign_str(sphere_points["eps_stab"])
+    searches = {
+        "enumerate": lambda: enumerate_realizable_signs_with_witnesses(
+            sphere_path),
+        "stretch": lambda: stretch_factor(sphere_path, eps_stab),
+        "first branch": lambda: next(realizable_branches(sphere_path)),
+        "max_branch": lambda: enumerate_realizable_signs(sphere_path,
+                                                         max_branch=50),
+    }
+    stopped = []
+    for name, search in searches.items():
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                search()
+            except SignstabError:
+                stopped.append(name)
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
+    assert stopped == ["max_branch"]
