@@ -232,7 +232,7 @@ def cmd_signs_enumerate(args):
 
 def cmd_presentation(args):
     path = sio.load_path(args.path)
-    if args.sign:
+    if args.sign is not None:
         eps = parse_sign_str(args.sign)
         m = presentation_matrix_for_sign(path, eps)
         inputs = {"path": sio.path_to_obj(path), "sign": sign_str(eps)}
@@ -244,10 +244,10 @@ def cmd_presentation(args):
 
 
 def cmd_charpoly(args):
-    if args.matrix and not (args.path or args.sign):
+    if args.matrix is not None and args.path is None and args.sign is None:
         m = _int_matrix_arg(args.matrix)
         inputs = {"matrix": _matrix_json(m)}
-    elif args.matrix or not (args.path and args.sign):
+    elif args.matrix is not None or args.path is None or args.sign is None:
         raise UsageError("charpoly: need --matrix alone, or --path and --sign")
     else:
         path = sio.load_path(args.path)

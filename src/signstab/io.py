@@ -3,6 +3,11 @@ triangulations and train tracks, plus the deterministic report writer.
 
 All scalar values use the exact text encoding of :mod:`signstab.scalars`;
 float literals are rejected.
+
+At module level this imports only ``errors``, ``scalars`` and ``seeds``
+(which imports ``matrices``), so loading a path or a point loads no more
+of the engine.  ``cone_from_obj`` and ``track_from_obj`` import
+``reduction`` and ``traintrack`` when they build a cone or a track.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ from typing import Any
 
 from .errors import (FormatError, FrozenIndexError, MagnitudeError,
                      SplitViolationError)
-from .reduction import Cone
 from .scalars import Scalar, format_ints, parse_scalar, scalar_ints
 from .seeds import Flip, MutationPath, Permute, Seed, Triangulation, check_split
-from .traintrack import TrainTrack
 
 SCHEMA_VERSION = 1
 
@@ -203,6 +206,8 @@ def matrix_from_obj(obj, where="matrix") -> tuple[tuple[Scalar, ...], ...]:
 
 
 def cone_from_obj(obj, where="cone") -> Cone:
+    from .reduction import Cone
+
     gens = _expect(obj, "generators", list, where)
     if not gens or not all(isinstance(g, list) for g in gens):
         raise FormatError(f"{where}: generators must be a non-empty list "
@@ -240,6 +245,8 @@ def load_triangulation(path) -> Triangulation:
 
 
 def track_from_obj(obj, where="track") -> TrainTrack:
+    from .traintrack import TrainTrack
+
     edges = _expect(obj, "edges", list, where)
     switches = _expect(obj, "switches", list, where)
     boundary = obj.get("boundary", [])

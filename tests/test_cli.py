@@ -196,6 +196,16 @@ def test_charpoly_command(capsys):
     assert abs(doc["result"]["spectral_radius"] - 2.6180339887) < 1e-9
 
 
+def test_empty_sign_is_a_sign(capsys):
+    """--sign "" is the sign of a path with no flips, not an absent flag."""
+    code, out, _ = run(capsys, "--json-only", "presentation",
+                       "--path", f"{DATA}/empty_path.json", "--sign", "")
+    assert code == 0 and json.loads(out)["result"]["matrix"] == [[1]]
+    code, out, _ = run(capsys, "--json-only", "charpoly",
+                       "--path", f"{DATA}/empty_path.json", "--sign", "")
+    assert code == 0 and json.loads(out)["result"]["pretty"] == "nu - 1"
+
+
 def test_charpoly_radius_near_the_float_limit_is_finite_json(capsys):
     """nu^2 - 10^200 nu + 1 has its top root near 10^200, where Horner's rule
     on the unscaled polynomial overflows; the report holds finite numbers."""
@@ -340,6 +350,7 @@ NINES_400 = "9" * 400
     ["track-validate", "--track", "TRACK_INT_BOUNDARY", "--measure", "{}"],
     ["charpoly", "--matrix", "[[1,2],[3,4]]",
      "--path", f"{DATA}/kron3_path.json", "--sign", "+"],
+    ["presentation", "--path", f"{DATA}/kron3_path.json", "--sign", ""],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}
@@ -863,6 +874,17 @@ def test_signs_enumerate_writes_each_sign_once(capsys, monkeypatch):
     assert set(result["witnesses"]) == set(result["signs"])
 
 
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports signstab from src, and
+    fail with its stderr unless it exits 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=SRC.parent, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numpy_is_imported_only_for_a_radius():
     """A float radius was the only use numpy ever had; it is computed in
     Python now, so with numpy importable no command, a radius included,
@@ -881,12 +903,7 @@ assert "numpy" not in sys.modules, "orbit loaded numpy"
 run("charpoly", "--matrix", "[[3,1],[-1,0]]")
 assert "numpy" not in sys.modules, "charpoly's radius loaded numpy"
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, cwd=SRC.parent, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_fresh(code)
 
 
 def test_no_command_loads_numpy():
@@ -916,12 +933,7 @@ run("stretch", "--path", {DATA!r} + "/sphere3b_path.json",
     "--stable", "+++00-+--+00-+++", "--candidate", "3/2+1/2*sqrt(5)")
 assert not tried, tried
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, cwd=SRC.parent, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_fresh(code)
 
 
 def test_import_loads_no_dataclasses_or_inspect():
@@ -938,9 +950,61 @@ assert "signstab.cli" in added
 slow = sorted(added & {"dataclasses", "inspect"})
 assert not slow, slow
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, cwd=SRC.parent, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_fresh(code)
+
+
+PUBLIC_NAMES = """
+BlockReport Cone DTCoords DimensionMismatchError Flip FormatError
+FrozenIndexError HereditaryReport IntPoly LoopRequiredError MagnitudeError
+MutationPath NonStrictSignError NotRealizableError OrbitReport Permute QuadExt
+RadicandMismatchError Rational Scalar Seed SignCoherenceError SignSeq
+SignstabError SplitViolationError StretchReport TrainTrack Triangulation
+TropPoint UsageError annulus_solve apply_perm b_from_triangulation
+block_structure_check c_matrix canonical_cone_membership cg_matrices char_poly
+cone_sign_caveat detect_stable_sign detect_weak_stable_sign edge_compatibility
+edge_matrix enumerate_realizable_signs
+enumerate_realizable_signs_with_witnesses errors feasibility format_scalar
+freeze g_matrix generator_coordinate_trace hereditary_check in_triangle_regime
+is_loop is_strict iterate_orbit matrices mutate_b pants_boundary_sums
+pants_measures parse_scalar parse_sign_str permutation_factor_check pos_part
+presentation_matrix_at_point presentation_matrix_for_sign project_point
+quad_sqrt realizable_branches reduced_subsequence reduction scalar_sign scalars
+seeds seeds_along sign_geq sign_of_path sign_str spectral_radius stability
+stretch_factor traintrack transport trop_mutate tropical validate_measure
+verify_eigenpair
+""".split()
+
+
+def test_imports_load_only_what_they_use():
+    """The package namespace imports each name on first use, and io imports
+    no engine module to load a path or a point; every public name, and
+    `from signstab import *`, still give what they gave when the namespace
+    imported everything up front."""
+    code = f"""
+import sys
+def loaded():
+    return {{m for m in sys.modules if m.partition(".")[0] == "signstab"}}
+import signstab
+assert loaded() == {{"signstab"}}, sorted(loaded())
+import signstab.io
+want = {{"signstab", "signstab.errors", "signstab.scalars", "signstab.matrices",
+        "signstab.seeds", "signstab.io"}}
+assert loaded() == want, sorted(loaded())
+assert signstab.reduction is sys.modules["signstab.reduction"]
+try:
+    signstab.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("signstab.no_such_name resolved")
+from signstab import cli
+assert cli is sys.modules["signstab.cli"]
+names = {{}}
+exec("from signstab import *", names)
+names.pop("__builtins__")
+assert sorted(names) == {sorted(PUBLIC_NAMES)!r}, sorted(names)
+for name in signstab.__all__:
+    assert getattr(signstab, name) is names[name], name
+    assert name in dir(signstab), name
+"""
+    run_fresh(code)
