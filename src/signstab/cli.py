@@ -64,8 +64,11 @@ from .tropical import (
 )
 
 
-def _inline_or_file(text: str):
+def _inline_or_file(text: str, flag: str):
+    """The JSON value of a flag given inline or as a file name."""
     text = text.strip()
+    if not text:  # Path("") is the current directory
+        raise FormatError(f"{flag}: empty value, need inline JSON or a file")
     if text.startswith("[") or text.startswith("{"):
         try:
             return json.loads(text)
@@ -74,12 +77,12 @@ def _inline_or_file(text: str):
     return sio._load_json(Path(text))
 
 
-def _point_arg(text: str):
-    return sio.point_from_obj(_inline_or_file(text), where="--point")
+def _point_arg(text: str, flag: str = "--point"):
+    return sio.point_from_obj(_inline_or_file(text, flag), where=flag)
 
 
 def _matrix_arg(text: str):
-    return sio.matrix_from_obj(_inline_or_file(text), where="--matrix")
+    return sio.matrix_from_obj(_inline_or_file(text, "--matrix"), where="--matrix")
 
 
 def _int_matrix_arg(text: str):
@@ -273,7 +276,8 @@ def _check_radicand(values, d):
 def cmd_stretch(args):
     path = sio.load_path(args.path)
     eps = parse_sign_str(args.stable)
-    candidate = parse_scalar(args.candidate) if args.candidate else None
+    candidate = (parse_scalar(args.candidate)
+                 if args.candidate is not None else None)
     _check_radicand([candidate] if candidate is not None else [], args.radicand)
     report = stretch_factor(path, eps, candidate=candidate)
     result = {
@@ -296,7 +300,7 @@ def cmd_stretch(args):
 def cmd_eigencheck(args):
     m = _matrix_arg(args.matrix)
     lam = parse_scalar(args.eigenvalue)
-    x = _point_arg(args.vector)
+    x = _point_arg(args.vector, "--vector")
     _check_radicand([lam, *x, *(v for row in m for v in row)], args.radicand)
     ok = verify_eigenpair(m, lam, x)
     return ({"matrix": [_point_json(row) for row in m],
@@ -421,7 +425,7 @@ def cmd_annulus(args):
 
 def cmd_track_validate(args):
     track = sio.load_track(args.track)
-    measure = sio.measure_from_obj(_inline_or_file(args.measure))
+    measure = sio.measure_from_obj(_inline_or_file(args.measure, "--measure"))
     try:
         ok, bad = validate_measure(track, measure)
     except ValueError as exc:  # a measure on an edge the track lacks

@@ -150,9 +150,7 @@ def block_structure_check(
     With J = unfrozen minus frozen_out, every flip must lie in J and every
     permutation must preserve both J and frozen_out.  For each realizable
     strict sign the (J rows, K columns) block of E must vanish exactly and
-    rho(E) must match rho(E restricted to J) within the tolerance.  Each
-    distinct matrix among the E and E_J of one call gets one spectral
-    radius: on random frozen-block loops about half the radii repeat.
+    rho(E) must match rho(E restricted to J) within the tolerance.
 
     rng_seed is accepted for existing callers and has no effect: the
     realizable signs are enumerated exactly, without random sampling.
@@ -176,15 +174,11 @@ def block_structure_check(
     details = []
     zero_ok = True
     max_diff = 0.0
-    radii = {}  # one spectral pass per distinct matrix, for this call only
     for eps, _, e in sorted(realizable_branches(path), key=lambda b: b[0]):
         if any(e[p][q] != 0 for p in j_pos for q in k_pos):
             zero_ok = False
         e_j = tuple(tuple(e[p][q] for q in j_pos) for p in j_pos)
-        for m in (e, e_j):
-            if m not in radii:
-                radii[m] = spectral_radius(m)[0]
-        rho_full, rho_j = radii[e], radii[e_j]
+        rho_full, rho_j = spectral_radius(e)[0], spectral_radius(e_j)[0]
         details.append((eps, rho_full, rho_j))
         max_diff = max(max_diff, abs(rho_full - rho_j))
     ok = zero_ok and max_diff <= tolerance

@@ -29,13 +29,16 @@ polynomial in one pass: its repeated roots are removed exactly, and
 floats enter only at the roots of the square-free part.  The root of a
 square-free part of degree 1 is an exact integer; a pure-Python
 Aberth-Ehrlich iteration finds the roots of any other, and Newton steps
-in exact arithmetic polish the top one (see :func:`root_radius`).
+in exact arithmetic polish the top one (see :func:`root_radius`).  Each
+distinct matrix and each distinct polynomial takes that pass once a
+process: :func:`char_poly` and :func:`root_radius` keep bounded LRU caches.
 Floats are never used for sign decisions; exactness claims are routed
 through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import count, cycle, islice
@@ -380,10 +383,36 @@ class IntPoly(FrozenRecord):
         return out
 
 
+# Bounds of the two process-wide spectral caches.  A batch of 100 random
+# frozen-block loops asks 546 times for a polynomial of one of 12 distinct
+# matrices and for a radius of one of 10 distinct polynomials; sphere3b's
+# stretch table asks 16 times, of 16 matrices and 3 polynomials.  256
+# entries hold all of either batch, and hold a long run over ever new
+# inputs to 256 matrices and polynomials.
+CHAR_POLY_CACHE_SIZE = 256
+ROOT_RADIUS_CACHE_SIZE = 256
+
+
 def char_poly(m: mx.Matrix) -> IntPoly:
     """det(nu*I - M), exact integer coefficients: a Hessenberg reduction
-    modulo Mersenne primes, combined by CRT (:func:`matrices.charpoly`)."""
+    modulo Mersenne primes, combined by CRT (:func:`matrices.charpoly`).
+
+    Polynomials are kept in a process-wide LRU cache of
+    CHAR_POLY_CACHE_SIZE entries, keyed by the matrix as a tuple of tuples
+    (``matrices.freeze``): a list of lists works too, and changing it later
+    leaves the cache as it was.  ``char_poly.cache_info()`` and
+    ``char_poly.cache_clear()`` read and empty it.
+    """
+    return _frozen_char_poly(mx.freeze(m))
+
+
+@functools.lru_cache(maxsize=CHAR_POLY_CACHE_SIZE)
+def _frozen_char_poly(m: mx.Matrix) -> IntPoly:
     return IntPoly(mx.charpoly(m))
+
+
+char_poly.cache_info = _frozen_char_poly.cache_info
+char_poly.cache_clear = _frozen_char_poly.cache_clear
 
 
 def cyclotomic_like_product(cycle_lengths: Sequence[int]) -> IntPoly:
@@ -516,6 +545,7 @@ def _polish(coeffs, z, s):
     return modulus, math.ldexp(abs(complex(sr / den, si / den)), g)
 
 
+@functools.lru_cache(maxsize=ROOT_RADIUS_CACHE_SIZE)
 def root_radius(p: IntPoly) -> tuple[float, float]:
     """Largest root modulus of the monic integer polynomial p.
 
@@ -536,6 +566,10 @@ def root_radius(p: IntPoly) -> tuple[float, float]:
 
     A coefficient of q past the float range, or a radius or bound that
     overflows, is a MagnitudeError: the result is never NaN or infinite.
+
+    Results are kept in a process-wide LRU cache of ROOT_RADIUS_CACHE_SIZE
+    entries, keyed by the polynomial; an error is not kept, so it is raised
+    again on every call.
     """
     q = _squarefree_part(p)
     n = q.degree
@@ -617,15 +651,13 @@ def stretch_factor(
         raise NotRealizableError(
             f"no realizable strict completion of {sign_str(eps_stab)}"
         )
-    # one spectral pass per distinct polynomial: sphere3b's 16 signs have 3
-    radii = {p: root_radius(p) for p in set(polys)}
-    table = [(eps, *radii[p]) for (eps, _, _), p in zip(branches, polys)]
+    table = [(eps, *root_radius(p)) for (eps, _, _), p in zip(branches, polys)]
     value = max(rho for _, rho, _ in table)
     tol = max(bound for _, _, bound in table) + 1e-9
     radii_all_equal = all(abs(rho - value) <= tol for _, rho, _ in table)
     report = StretchReport(value, table, radii_all_equal)
     if candidate is not None:
-        ok = all(p(candidate) == 0 for p in radii)
+        ok = all(p(candidate) == 0 for p in set(polys))
         report.exact_verified = ok and abs(float(candidate) - value) <= 1e-9
         if report.exact_verified:
             report.exact_value = candidate

@@ -378,6 +378,26 @@ def test_criterion_12_block_structure():
            "rho(E) = rho(E|_J) within 1e-9 for every realizable sign")
 
 
+def test_criterion_12_reports_are_the_same_from_a_warm_cache():
+    from signstab.stability import root_radius
+
+    rng = random.Random(31)
+    cases = [_random_block_case(rng) for _ in range(100)]
+    cold = []
+    for path, frozen_out in cases:
+        char_poly.cache_clear()
+        root_radius.cache_clear()
+        cold.append(block_structure_check(path, frozen_out, tolerance=1e-9))
+    for path, frozen_out in cases:  # fills the caches
+        block_structure_check(path, frozen_out, tolerance=1e-9)
+    misses = char_poly.cache_info().misses, root_radius.cache_info().misses
+    warm = [block_structure_check(path, frozen_out, tolerance=1e-9)
+            for path, frozen_out in cases]
+    # the second pass computes nothing new: every radius comes from a cache
+    assert (char_poly.cache_info().misses, root_radius.cache_info().misses) == misses
+    assert warm == cold
+
+
 # -- criterion 13: small-instance enumeration oracle -------------------------------
 
 

@@ -351,6 +351,10 @@ NINES_400 = "9" * 400
     ["charpoly", "--matrix", "[[1,2],[3,4]]",
      "--path", f"{DATA}/kron3_path.json", "--sign", "+"],
     ["presentation", "--path", f"{DATA}/kron3_path.json", "--sign", ""],
+    ["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
+     "--candidate", ""],
+    ["charpoly", "--matrix", ""],
+    ["sign", "--path", f"{DATA}/a2_path.json", "--point", ""],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}
@@ -370,6 +374,22 @@ def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     if "--radicand" in argv:  # a square-free d >= 2, checked by argparse
         assert code == 2 and doc["error"] == "UsageError"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["charpoly", "--matrix", ""],
+    ["sign", "--path", f"{DATA}/a2_path.json", "--point", " "],
+    ["eigencheck", "--matrix", "[[1]]", "--eigenvalue", "1", "--vector", ""],
+    ["track-validate", "--track", "TRACK", "--measure", ""],
+])
+def test_empty_inline_value_is_an_error_naming_its_flag(capsys, tmp_path, argv):
+    track = tmp_path / "track.json"
+    track.write_text(json.dumps(BAD_FLAG_FILES["TRACK"]))
+    argv = [str(track) if a == "TRACK" else a for a in argv]
+    code, out, err = run(capsys, "--json-only", *argv)
+    doc = json.loads(out)
+    assert (code, doc["error"], err) == (1, "FormatError", "")
+    assert doc["message"].startswith(argv[-2] + ": empty value")
 
 
 @pytest.mark.parametrize("argv", [
@@ -934,6 +954,21 @@ run("stretch", "--path", {DATA!r} + "/sphere3b_path.json",
 assert not tried, tried
 """
     run_fresh(code)
+
+
+def test_sphere3b_stretch_report_is_the_same_from_a_warm_cache(capsys):
+    from signstab.stability import char_poly, root_radius
+
+    argv = ("--json-only", "stretch", "--path", f"{DATA}/sphere3b_path.json",
+            "--stable", "+++00-+--+00-+++", "--candidate", "3/2+1/2*sqrt(5)")
+    char_poly.cache_clear()
+    root_radius.cache_clear()
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 0 and json.loads(first[1])["result"]["exact_verified"]
+    assert second == first
+    info = char_poly.cache_info()  # the second call computed no polynomial
+    assert (info.misses, info.hits) == (16, 16)
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -25,6 +25,7 @@ from signstab import (
     project_point,
     reduced_subsequence,
     sign_of_path,
+    spectral_radius,
     trop_mutate,
 )
 
@@ -152,26 +153,29 @@ def test_block_structure_kronecker_example():
     assert abs(by_sign[(1,)][1] - golden) <= 1e-9
 
 
-def test_block_structure_takes_one_radius_per_distinct_matrix(monkeypatch):
-    import signstab.reduction
+def test_block_structure_takes_one_radius_per_distinct_matrix():
+    from signstab.stability import root_radius
 
-    matrices = []
-    radius = signstab.reduction.spectral_radius
-    monkeypatch.setattr(signstab.reduction, "spectral_radius",
-                        lambda m: matrices.append(m) or radius(m))
+    char_poly.cache_clear()
+    root_radius.cache_clear()
     # a palindrome and then one Kronecker lap: 4 signs, 2 E's, 2 E_J's
     steps = (Flip(0), Flip(1), Flip(1), Flip(0), Flip(0), Permute((1, 0, 2, 3)))
     path = MutationPath(block_seed(3, 2), steps)
     report = block_structure_check(path, frozen_out=(2, 3))
     assert report.ok and report.sign_count == 4
+    polys, radii = char_poly.cache_info(), root_radius.cache_info()
     distinct = set()
     for eps, rho_full, rho_j in report.details:
         e = presentation_matrix_for_sign(path, eps)
         e_j = tuple(tuple(row[:2]) for row in e[:2])
         distinct |= {e, e_j}
-        assert (rho_full, rho_j) == (radius(e)[0], radius(e_j)[0])
-    assert len(matrices) == len(set(matrices)) == len(distinct) == 4
-    assert set(matrices) == distinct
+        assert (rho_full, rho_j) == (spectral_radius(e)[0], spectral_radius(e_j)[0])
+    assert len(distinct) == 4
+    # 8 lookups each; one polynomial per distinct matrix, one radius per
+    # distinct polynomial
+    assert (polys.hits + polys.misses, polys.misses) == (8, 4)
+    distinct_polys = {char_poly(m) for m in distinct}
+    assert (radii.hits + radii.misses, radii.misses) == (8, len(distinct_polys))
 
 
 def test_block_structure_no_flips():

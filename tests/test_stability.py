@@ -308,8 +308,25 @@ def test_root_radius_of_a_linear_part_past_the_float_range():
     from signstab.stability import root_radius
 
     a = 10 ** 999
-    with pytest.raises(MagnitudeError):
-        root_radius(IntPoly((-a, 1)) * IntPoly((-a, 1)))
+    p = IntPoly((-a, 1)) * IntPoly((-a, 1))
+    for _ in range(3):  # an error is not cached: every call raises it
+        with pytest.raises(MagnitudeError):
+            root_radius(p)
+
+
+def test_char_poly_of_a_list_matrix_is_that_of_its_tuple_form():
+    from signstab.stability import root_radius
+
+    char_poly.cache_clear()
+    root_radius.cache_clear()
+    rows = [[3, 1], [-1, 0]]
+    assert char_poly(rows) == char_poly(((3, 1), (-1, 0))) == IntPoly((1, -3, 1))
+    assert spectral_radius(rows) == spectral_radius(((3, 1), (-1, 0)))
+    assert abs(spectral_radius(rows)[0] - (3 + 5 ** 0.5) / 2) <= 1e-9
+    rows[0][0] = 2  # a cached polynomial is keyed by a frozen copy
+    assert char_poly(rows) == IntPoly((1, -2, 1))
+    assert spectral_radius(rows)[0] == 1.0
+    assert char_poly(((3, 1), (-1, 0))) == IntPoly((1, -3, 1))
 
 
 def test_linear_squarefree_radius_loads_no_numpy():
@@ -447,24 +464,23 @@ def test_stretch_kronecker2_exactly_one():
     assert abs(report.value - 1.0) <= 1e-9
 
 
-def test_stretch_takes_one_radius_per_distinct_polynomial(sphere_path,
-                                                         monkeypatch):
-    import signstab.stability
+def test_stretch_takes_one_radius_per_distinct_polynomial(sphere_path):
+    from signstab.stability import root_radius
 
-    polys = []
-    radius = signstab.stability.root_radius
-    monkeypatch.setattr(signstab.stability, "root_radius",
-                        lambda p: polys.append(p) or radius(p))
+    char_poly.cache_clear()
+    root_radius.cache_clear()
     candidate = (3 + quad_sqrt(5)) / 2
     report = stretch_factor(sphere_path, parse_sign_str("+++00-+--+00-+++"),
                             candidate=candidate)
     assert len(report.table) == 16 and report.exact_verified
-    assert len(polys) == len(set(polys)) == 3
+    # 16 rows, 3 distinct polynomials: the other 13 radii come from the cache
+    info = root_radius.cache_info()
+    assert (info.misses, info.hits) == (3, 13)
     by_poly = {}  # each row carries its polynomial's one radius
     for eps, rho, bound in report.table:
         p = char_poly(presentation_matrix_for_sign(sphere_path, eps))
         assert by_poly.setdefault(p, (rho, bound)) == (rho, bound)
-    assert set(by_poly) == set(polys)
+    assert len(by_poly) == 3
 
 
 def test_stretch_requires_realizable_completion():
