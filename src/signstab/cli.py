@@ -93,8 +93,17 @@ def _int_matrix_arg(text: str):
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
+def _scalar_arg(text: str, flag: str):
+    """The exact scalar of a flag; a bad literal is a FormatError naming the
+    flag."""
+    try:
+        return parse_scalar(text)
+    except FormatError as exc:
+        raise FormatError(f"{flag}: {exc}") from exc
+
+
 def _rational_arg(text: str, flag: str) -> Fraction:
-    value = parse_scalar(text)
+    value = _scalar_arg(text, flag)
     if not isinstance(value, Fraction):
         raise FormatError(f"{flag} must be rational, got {text!r}")
     return value
@@ -276,7 +285,7 @@ def _check_radicand(values, d):
 def cmd_stretch(args):
     path = sio.load_path(args.path)
     eps = parse_sign_str(args.stable)
-    candidate = (parse_scalar(args.candidate)
+    candidate = (_scalar_arg(args.candidate, "--candidate")
                  if args.candidate is not None else None)
     _check_radicand([candidate] if candidate is not None else [], args.radicand)
     report = stretch_factor(path, eps, candidate=candidate)
@@ -299,7 +308,7 @@ def cmd_stretch(args):
 
 def cmd_eigencheck(args):
     m = _matrix_arg(args.matrix)
-    lam = parse_scalar(args.eigenvalue)
+    lam = _scalar_arg(args.eigenvalue, "--eigenvalue")
     x = _point_arg(args.vector, "--vector")
     _check_radicand([lam, *x, *(v for row in m for v in row)], args.radicand)
     ok = verify_eigenpair(m, lam, x)

@@ -48,13 +48,14 @@ from typing import Optional, Sequence
 from . import matrices as mx
 from .errors import (
     DimensionMismatchError,
+    FormatError,
     LoopRequiredError,
     MagnitudeError,
     NotRealizableError,
     SignstabError,
 )
 from .feasibility import Tableau, check_gordan
-from .scalars import FrozenRecord, Record, Scalar, scalar_sign
+from .scalars import FrozenRecord, QuadExt, Record, Scalar, scalar_sign
 from .seeds import CompiledPath, MutationPath, PermStep, Seed, is_loop
 from .tropical import (
     SignSeq,
@@ -262,13 +263,14 @@ def _sign_tree(steps, stable, visits, multipliers, step_idx, matrix, tableau,
         return
     step = steps[step_idx]
     functional = matrix[step.kp]
-    g = math.gcd(*functional) or 1
-    primitive = tuple(f // g for f in functional)
-    x = tableau.witness
+    g = math.gcd(*functional)
+    primitive = (tuple(f // g for f in functional) if g > 1
+                 else tuple(functional))
+    dot = sum(map(mul, primitive, tableau.witness))
     fixed = stable[len(prefix)]
     for side in (fixed,) if fixed else (1, -1):
         row = primitive if side > 0 else tuple(map(neg, primitive))
-        kept = multipliers.get(row, ()) if sum(map(mul, row, x)) <= 0 else ()
+        kept = multipliers.get(row, ()) if side * dot <= 0 else ()
         for others, multiplier in kept:
             if others <= rows:  # the multiplier proves this cone empty
                 check_gordan(multiplier)
@@ -401,14 +403,30 @@ def char_poly(m: mx.Matrix) -> IntPoly:
     CHAR_POLY_CACHE_SIZE entries, keyed by the matrix as a tuple of tuples
     (``matrices.freeze``): a list of lists works too, and changing it later
     leaves the cache as it was.  ``char_poly.cache_info()`` and
-    ``char_poly.cache_clear()`` read and empty it.
+    ``char_poly.cache_clear()`` read and empty it.  Equal numbers hash
+    alike, so an entry whose value is an integer, such as ``Fraction(2)``,
+    gives the polynomial of its integer on a miss as on a hit; any other
+    entry is a FormatError.
     """
     return _frozen_char_poly(mx.freeze(m))
 
 
 @functools.lru_cache(maxsize=CHAR_POLY_CACHE_SIZE)
 def _frozen_char_poly(m: mx.Matrix) -> IntPoly:
+    if any(type(x) is not int for row in m for x in row):
+        m = tuple(tuple(map(_integer_entry, row)) for row in m)
     return IntPoly(mx.charpoly(m))
+
+
+def _integer_entry(x) -> int:
+    """The int equal to the matrix entry x, or a FormatError naming it."""
+    try:
+        n = int(x.a if type(x) is QuadExt else x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise FormatError(f"char_poly: matrix entry {x!r} is not an integer")
+    return n
 
 
 char_poly.cache_info = _frozen_char_poly.cache_info

@@ -355,6 +355,8 @@ NINES_400 = "9" * 400
      "--candidate", ""],
     ["charpoly", "--matrix", ""],
     ["sign", "--path", f"{DATA}/a2_path.json", "--point", ""],
+    ["eigencheck", "--matrix", "[[1,0],[0,2]]", "--eigenvalue", "",
+     "--vector", "[1,0]"],
 ])
 def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     files = {}
@@ -373,6 +375,9 @@ def test_bad_flags_give_json_errors(capsys, tmp_path, argv):
     assert doc["error"] and doc["message"]
     if "--radicand" in argv:  # a square-free d >= 2, checked by argparse
         assert code == 2 and doc["error"] == "UsageError"
+    for flag in ("--candidate", "--eigenvalue"):  # a bad scalar names its flag
+        if flag in argv and argv[argv.index(flag) + 1] == "":
+            assert doc["message"].startswith(f"{flag}: ")
     assert captured.err == ""
 
 

@@ -213,9 +213,14 @@ def grow_from(t, rows):
     return keys
 
 
+def snapshot(t):
+    """A copy of the public state of a tableau."""
+    return [list(r) for r in t.rows], list(t.cost), list(t.basis), t.witness
+
+
 def test_extending_a_tableau_leaves_it_unchanged():
     rng = random.Random(23)
-    checked = 0
+    checked = pivoted = empty = 0
     for trial in range(60):
         dim = trial % 8 + 1
         rows = random_rows(rng, dim, rng.randint(1, 2 * dim))
@@ -223,6 +228,10 @@ def test_extending_a_tableau_leaves_it_unchanged():
         parent = grow(rows, dim)
         if type(parent) is not Tableau:
             continue
+        before = snapshot(parent)
+        # the last row pivoted, so each fresh grow(rows, dim) below is
+        # extended before its rows were ever read
+        pivoted += grow(rows[:-1], dim).basis != parent.basis
         functional = random_rows(rng, dim, 1)[0]
         sides = [functional, tuple(-c for c in functional)]
         for order in (sides, sides[::-1]):
@@ -233,8 +242,23 @@ def test_extending_a_tableau_leaves_it_unchanged():
                 assert extend_result_key(child) == extend_result_key(fresh)
                 if type(child) is Tableau:
                     assert grow_from(child, later) == grow_from(fresh, later)
+                else:
+                    empty += 1
                 checked += 1
+            assert snapshot(shared) == before
         assert shared.witness == parent.witness
         assert grow_from(shared, later) == grow_from(parent, later)
-    assert checked > 100
+    assert checked > 100 and pivoted > 20 and empty > 10
 
+
+def test_a_witness_that_fails_a_row_that_prices_out_is_caught():
+    # dim 2, every artificial basic, and duals that are minus the witness
+    # (1, 0); the last artificial's dual -3 makes (1, 0) and (-1, 0) both
+    # price out, and the witness fails (-1, 0)
+    rows = [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+    t = Tableau(rows, [5, -1, 0, -3], [1, 2, 3], 1, (), (1, 0))
+    kept = t.extend((1, 0))
+    assert type(kept) is Tableau and kept.witness == (1, 0)
+    assert kept.cons == ((1, 0),)
+    with pytest.raises(ArithmeticError):
+        t.extend((-1, 0))

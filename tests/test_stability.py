@@ -329,6 +329,33 @@ def test_char_poly_of_a_list_matrix_is_that_of_its_tuple_form():
     assert char_poly(((3, 1), (-1, 0))) == IntPoly((1, -3, 1))
 
 
+@pytest.mark.parametrize("entry, value", [
+    (Fraction(2), 2), (2.0, 2), (True, 1),
+    (QuadExt(Fraction(2), Fraction(0), 5), 2),
+    (Fraction(5, 2), None), (2.5, None), (float("nan"), None), ("2", None),
+    (None, None), (QuadExt(Fraction(2), Fraction(1), 5), None),
+])
+def test_char_poly_entry_gives_the_same_answer_cold_and_warm(entry, value):
+    # an entry equal to an int hashes like it, so a warm cache answers with
+    # the int matrix's polynomial; a cold call must give it too, and any
+    # other entry is the same error naming it, cold or warm
+    def answer():
+        try:
+            return char_poly(((entry, 1), (0, 3)))
+        except FormatError as exc:
+            return str(exc)
+
+    char_poly.cache_clear()
+    cold = answer()
+    char_poly.cache_clear()
+    char_poly(((7 if value is None else value, 1), (0, 3)))
+    assert answer() == cold
+    if value is None:
+        assert cold == f"char_poly: matrix entry {entry!r} is not an integer"
+    else:
+        assert cold == IntPoly((3 * value, -3 - value, 1))
+
+
 def test_linear_squarefree_radius_loads_no_numpy():
     code = """
 import io, sys, contextlib
