@@ -1,23 +1,15 @@
 """Small exact matrix helpers used throughout the engine.
 
-Matrices are tuples of tuples (rows).  Nothing here inverts over the
-rationals: ``charpoly`` inverts only modulo primes, and tropical duality
-is checked as the integer product ``G^T C = I``, so no inverse is needed.
+Matrices are tuples of tuples (rows).  Nothing here divides: ``charpoly``
+stays in the integers, and tropical duality is checked as the integer
+product ``G^T C = I``, so no inverse is needed.
 """
 
 from __future__ import annotations
 
-Matrix = tuple[tuple, ...]
+from operator import mul
 
-# Exponents e of Mersenne primes 2^e - 1, ascending: the moduli of
-# ``charpoly``.  Each is a proven prime; a modulus is built only when used.
-_MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
-    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
-    756839, 859433, 1257787, 1398269, 2976221, 3021377, 6972593, 13466917,
-    20996011, 24036583, 25964951, 30402457, 32582657, 37156667, 42643801,
-    43112609, 57885161,
-)
+Matrix = tuple[tuple, ...]
 
 
 def freeze(rows) -> Matrix:
@@ -49,82 +41,21 @@ def is_skew_symmetric(m: Matrix) -> bool:
 def charpoly(m: Matrix) -> tuple[int, ...]:
     """Coefficients of det(nu*I - M), ascending degree, exact integers.
 
-    With R = ||M||_inf >= rho(M), every coefficient is bounded:
-    |c_{n-k}| = |e_k(eigenvalues)| <= C(n, k) R^k <= (1 + R)^n.  The
-    polynomial is computed modulo the table's Mersenne primes, in ascending
-    order, until their product exceeds twice that bound; the residues are
-    combined by CRT and read as symmetric residues, which are the exact
-    coefficients.  One 61-bit prime covers n * bits(1 + R) <= 59, as for
-    every 12 x 12 sphere3b presentation matrix (R <= 11).  A bound past the
-    whole table, n * bits(1 + R) of about 3.4e8, is a ValueError.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984):
+    split the leading (k + 1) x (k + 1) block as [[M_k, c], [r, a]]; the
+    polynomial of that block is the lower-triangular Toeplitz matrix of
+    (1, -a, -r.c, -r.M_k.c, ..., -r.M_k^(k-1).c) times the polynomial of
+    M_k.  O(n^4) integer operations, no modulus and no division.
     """
-    n = len(m)
-    r = max((sum(map(abs, row)) for row in m), default=0)
-    # 2 (1 + R)^n < 2^need, and a prime 2^e - 1 exceeds 2^(e - 1)
-    need = n * (1 + r).bit_length() + 1
-    if need > sum(e - 1 for e in _MERSENNE_EXPONENTS):
-        raise ValueError("characteristic polynomial bound past the modulus table")
-    coeffs, modulus = [0] * (n + 1), 1
-    for e in _MERSENNE_EXPONENTS:
-        p = (1 << e) - 1
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((x - c) * inv % p)
-                  for c, x in zip(coeffs, _charpoly_mod(m, p))]
-        modulus *= p
-        need -= e - 1
-        if need <= 0:
-            break
-    half = modulus // 2
-    return tuple(c - modulus if c > half else c for c in coeffs)
-
-
-def _charpoly_mod(m: Matrix, p: int) -> list[int]:
-    """det(nu*I - M) mod the prime p, ascending, entries in [0, p).
-
-    M is reduced to upper Hessenberg form H by similarity over F_p: at
-    column j, a row and column swap brings a nonzero entry to the
-    subdiagonal (a column with none below the diagonal is already
-    reduced), and row i gets row j + 1 times u subtracted while column
-    j + 1 gets column i times u added.  The polynomials P_k of H's leading
-    k x k blocks then follow the Hessenberg recurrence
-    P_k = (nu - h_{k-1,k-1}) P_{k-1}
-          - sum_i (h_{k-1,k-2} ... h_{k-i,k-1-i}) h_{k-1-i,k-1} P_{k-1-i},
-    which stops at the first zero subdiagonal factor.  O(n^3) operations.
-    """
-    n = len(m)
-    a = [[x % p for x in row] for row in m]
-    for j in range(n - 2):
-        k = j + 1
-        piv = next((i for i in range(k, n) if a[i][j]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            a[piv], a[k] = a[k], a[piv]
-            for row in a:
-                row[piv], row[k] = row[k], row[piv]
-        rk = a[k]
-        inv = pow(rk[j], -1, p)
-        for i in range(k + 1, n):
-            ri = a[i]
-            if ri[j]:
-                u = ri[j] * inv % p
-                ri[j:] = [(x - u * y) % p for x, y in zip(ri[j:], rk[j:])]
-                for row in a:
-                    row[k] = (row[k] + u * row[i]) % p
-    polys = [[1]]
-    for k in range(1, n + 1):
-        prev = polys[-1]
-        h = a[k - 1][k - 1]
-        new = [0, *prev]
-        for c, x in enumerate(prev):
-            new[c] -= h * x
-        sub = 1  # h_{k-1,k-2} ... h_{k-i,k-1-i}
-        for i in range(1, k):
-            sub = sub * a[k - i][k - 1 - i] % p
-            if not sub:
-                break
-            f = sub * a[k - 1 - i][k - 1]
-            for c, x in enumerate(polys[k - 1 - i]):
-                new[c] -= f * x
-        polys.append([x % p for x in new])
-    return polys[-1]
+    p = [1]  # descending degree
+    for k, row in enumerate(m):
+        # map stops at len(v) == k, so row and lead read only r and M_k;
+        # for k = 0, col ends in an unread r.c = 0
+        lead = m[:k]
+        v = [w[k] for w in lead]
+        col = [1, -row[k], -sum(map(mul, row, v))]
+        for _ in range(k - 1):
+            v = [sum(map(mul, w, v)) for w in lead]
+            col.append(-sum(map(mul, row, v)))
+        p = [sum(map(mul, p[:i + 1], col[i::-1])) for i in range(k + 2)]
+    return tuple(reversed(p))

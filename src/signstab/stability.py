@@ -396,8 +396,8 @@ ROOT_RADIUS_CACHE_SIZE = 256
 
 
 def char_poly(m: mx.Matrix) -> IntPoly:
-    """det(nu*I - M), exact integer coefficients: a Hessenberg reduction
-    modulo Mersenne primes, combined by CRT (:func:`matrices.charpoly`).
+    """det(nu*I - M), exact integer coefficients: Berkowitz's
+    division-free recurrence in the integers (:func:`matrices.charpoly`).
 
     Polynomials are kept in a process-wide LRU cache of
     CHAR_POLY_CACHE_SIZE entries, keyed by the matrix as a tuple of tuples
@@ -406,13 +406,16 @@ def char_poly(m: mx.Matrix) -> IntPoly:
     ``char_poly.cache_clear()`` read and empty it.  Equal numbers hash
     alike, so an entry whose value is an integer, such as ``Fraction(2)``,
     gives the polynomial of its integer on a miss as on a hit; any other
-    entry is a FormatError.
+    entry is a FormatError, and a matrix that is not square is a
+    DimensionMismatchError.
     """
     return _frozen_char_poly(mx.freeze(m))
 
 
 @functools.lru_cache(maxsize=CHAR_POLY_CACHE_SIZE)
 def _frozen_char_poly(m: mx.Matrix) -> IntPoly:
+    if any(len(row) != len(m) for row in m):
+        raise DimensionMismatchError("char_poly: matrix is not square")
     if any(type(x) is not int for row in m for x in row):
         m = tuple(tuple(map(_integer_entry, row)) for row in m)
     return IntPoly(mx.charpoly(m))
@@ -434,9 +437,11 @@ char_poly.cache_clear = _frozen_char_poly.cache_clear
 
 
 def cyclotomic_like_product(cycle_lengths: Sequence[int]) -> IntPoly:
-    """Product of (nu^c - 1) over the given cycle lengths."""
+    """Product of (nu^c - 1) over the given cycle lengths, each at least 1."""
     out = IntPoly((1,))
     for c in cycle_lengths:
+        if c < 1:
+            raise ValueError(f"cycle length {c} is below 1")
         factor = [0] * (c + 1)
         factor[0], factor[c] = -1, 1
         out = out * IntPoly(tuple(factor))

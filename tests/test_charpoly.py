@@ -1,10 +1,12 @@
 """The characteristic polynomial against the Faddeev-LeVerrier oracle.
 
-The engine reduces to Hessenberg form modulo Mersenne primes and combines
-them by CRT; the oracle stays in the integers.  The cases aim at the
-places a modular reduction can go wrong: missing pivots (row and column
-swaps, zero subdiagonals), repeated eigenvalues, and coefficients large
-enough to need more than one prime.
+The engine runs Berkowitz's division-free recurrence over the leading
+blocks; the oracle divides exactly by k at step k, and neither shares
+code with the other.  The cases cover zero structure (triangular,
+Hessenberg with zero subdiagonals, a nonzero last row under a diagonal),
+repeated and zero eigenvalues, permutations, entries from one to 4,300
+digits, and coefficients that exactly meet the bound
+|c| <= (1 + ||M||_inf)^n.
 """
 
 import json
@@ -17,7 +19,8 @@ import pytest
 from oracles import charpoly as oracle_charpoly
 from oracles import perm_matrix
 
-from signstab import char_poly, presentation_matrix_for_sign
+from signstab import (DimensionMismatchError, char_poly,
+                      presentation_matrix_for_sign)
 from signstab.cli import main
 
 
@@ -106,7 +109,7 @@ def test_repeated_eigenvalues():
 
 @pytest.mark.parametrize("digits", [12, 19, 40, 120])
 def test_entries_past_one_prime(digits):
-    """Coefficients over 2^60 are combined from several primes by CRT."""
+    """Entries of 12 to 120 digits, so coefficients run far past 2^64."""
     rng = random.Random(digits)
     top = 10 ** digits
     for n in range(1, 9):
@@ -118,7 +121,7 @@ def test_entries_past_one_prime(digits):
 def test_coefficients_at_the_bound():
     """diag(R, ..., R) meets the bound: its coefficients C(n, k) (-R)^k sum
     in absolute value to exactly (1 + R)^n.  R runs over both sides of
-    every power of two that changes how many primes are taken."""
+    every power of two from 2 to 2^(200 // n - 1), for either sign."""
     for n in (1, 2, 3, 5, 12):
         for bits in range(1, 200 // n):
             for r in (2 ** bits - 2, 2 ** bits - 1, 2 ** bits):
@@ -130,7 +133,7 @@ def test_coefficients_at_the_bound():
                     assert char_poly(m).coeffs == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_entries_of_4300_digits(n):
     """The largest JSON integers the command line reads are exact too."""
     rng = random.Random(n)
@@ -138,6 +141,18 @@ def test_entries_of_4300_digits(n):
     m = freeze([[rng.choice((-1, 1)) * rng.randint(top // 10, top)
                  for _ in range(n)] for _ in range(n)])
     assert_matches_oracle(m)
+
+
+@pytest.mark.parametrize("m", [
+    ((1, 2),), ((1,), (2,)), ((1, 2), (3,)), ((1,), (2, 3)),
+])
+def test_a_matrix_that_is_not_square_is_an_error_cold_and_warm(m):
+    char_poly.cache_clear()
+    with pytest.raises(DimensionMismatchError, match="not square"):
+        char_poly(m)
+    assert char_poly(((2,),)).coeffs == (-2, 1)
+    with pytest.raises(DimensionMismatchError, match="not square"):
+        char_poly(m)
 
 
 def test_sphere3b_completions(sphere_path):

@@ -208,6 +208,19 @@ def test_permutation_factor_check_examples():
     )
 
 
+@pytest.mark.parametrize("lengths", [[0], [-1], [2, 0]])
+def test_cycle_lengths_below_one_are_an_error(lengths):
+    from signstab.stability import cyclotomic_like_product
+
+    # nu^0 - 1 is the zero polynomial, not the factor of any cycle
+    message = f"cycle length {min(lengths)} is below 1"
+    with pytest.raises(ValueError, match=message):
+        cyclotomic_like_product(lengths)
+    for p in (IntPoly((-1, 0, 1)), IntPoly((1, -3, 1))):
+        with pytest.raises(ValueError, match=message):
+            permutation_factor_check(p, lengths)
+
+
 def test_sign_restriction_property(sphere_path, sphere_cone):
     # strict full signs restrict to strict signs at compatible positions
     rng = random.Random(24)
