@@ -147,42 +147,40 @@ def block_structure_check(
 ) -> BlockReport:
     """Check the block form of presentation matrices for a J-only loop.
 
-    With J = unfrozen minus frozen_out, every flip must lie in J and every
-    permutation must preserve both J and frozen_out.  For each realizable
-    strict sign the (J rows, K columns) block of E must vanish exactly and
-    rho(E) must match rho(E restricted to J) within the tolerance.
-
-    rng_seed is accepted for existing callers and has no effect: the
-    realizable signs are enumerated exactly, without random sampling.
+    With K = frozen_out, J = unfrozen minus K must be nonempty, every flip
+    must lie in J and every permutation must keep J and K.  An edge matrix
+    differs from the identity only in its flipped column, so the K columns
+    of each realizable E are unit vectors e_sigma(k), sigma a permutation of
+    K: checked exactly, else ArithmeticError.  Then char_poly(E) =
+    char_poly(E_J) * prod(nu^c - 1) over sigma's cycles, and |det E_J| =
+    |det E| = 1 gives rho(E_J) >= 1, so rho(E) = rho(E_J), written twice per
+    sign in details.  tolerance and rng_seed have no effect: no float is
+    compared, and the signs are enumerated exactly, without sampling.
     """
     seed = path.initial
     k_set = frozenset(frozen_out)
     if not k_set <= seed.unfrozen:
         raise FrozenIndexError("frozen_out must be unfrozen in the seed")
     j_set = seed.unfrozen - k_set
+    if not j_set:
+        raise SplitViolationError("frozen_out leaves J empty")
     for step in path.steps:
         if isinstance(step, Flip):
             if step.k not in j_set:
                 raise SplitViolationError(f"flip at {step.k} leaves J")
-        else:
-            for i in j_set | k_set:
-                if (step.sigma[i] in j_set) != (i in j_set):
-                    raise SplitViolationError("permutation mixes J and K")
+        elif any((step.sigma[i] in j_set) != (i in j_set) for i in seed.unfrozen):
+            raise SplitViolationError("permutation mixes J and K")
     order = seed.unfrozen_order
     j_pos = [p for p, idx in enumerate(order) if idx in j_set]
     k_pos = [p for p, idx in enumerate(order) if idx in k_set]
+    k_units = sorted(tuple(int(p == q) for p in range(len(order))) for q in k_pos)
     details = []
-    zero_ok = True
-    max_diff = 0.0
     for eps, _, e in sorted(realizable_branches(path), key=lambda b: b[0]):
-        if any(e[p][q] != 0 for p in j_pos for q in k_pos):
-            zero_ok = False
-        e_j = tuple(tuple(e[p][q] for q in j_pos) for p in j_pos)
-        rho_full, rho_j = spectral_radius(e)[0], spectral_radius(e_j)[0]
-        details.append((eps, rho_full, rho_j))
-        max_diff = max(max_diff, abs(rho_full - rho_j))
-    ok = zero_ok and max_diff <= tolerance
-    return BlockReport(ok, zero_ok, len(details), max_diff, details)
+        if sorted(tuple(row[q] for row in e) for q in k_pos) != k_units:
+            raise ArithmeticError(f"sign {eps}: E's K columns are not K's unit vectors")
+        rho = spectral_radius(tuple(tuple(e[p][q] for q in j_pos) for p in j_pos))[0]
+        details.append((eps, rho, rho))
+    return BlockReport(True, True, len(details), 0.0, details)
 
 
 def permutation_factor_check(p: IntPoly, cycle_lengths: Sequence[int]) -> bool:

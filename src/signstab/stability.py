@@ -437,9 +437,12 @@ char_poly.cache_clear = _frozen_char_poly.cache_clear
 
 
 def cyclotomic_like_product(cycle_lengths: Sequence[int]) -> IntPoly:
-    """Product of (nu^c - 1) over the given cycle lengths, each at least 1."""
+    """Product of (nu^c - 1) over the given cycle lengths, each an int at
+    least 1: any other length is a ValueError."""
     out = IntPoly((1,))
     for c in cycle_lengths:
+        if type(c) is not int:
+            raise ValueError(f"cycle length {c!r} is not an int")
         if c < 1:
             raise ValueError(f"cycle length {c} is below 1")
         factor = [0] * (c + 1)

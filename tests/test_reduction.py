@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,15 @@ from signstab import (
     trop_mutate,
 )
 
+from oracles import (
+    charpoly,
+    det,
+    edge_matrix,
+    mat_mul,
+    mutated,
+    perm_matrix,
+    relabeled,
+)
 from test_seeds import kronecker, random_seed
 
 F = Fraction
@@ -146,7 +156,7 @@ def test_block_structure_kronecker_example():
     path = MutationPath(seed, (Flip(0), Permute(sigma)))
     report = block_structure_check(path, frozen_out=(2, 3))
     assert report.ok and report.zero_block_exact
-    assert report.max_radius_diff <= 1e-9
+    assert report.max_radius_diff == 0.0
     golden = (3 + 5 ** 0.5) / 2
     by_sign = {eps: (rho_full, rho_j) for eps, rho_full, rho_j in report.details}
     assert abs(by_sign[(1,)][0] - golden) <= 1e-9
@@ -158,24 +168,127 @@ def test_block_structure_takes_one_radius_per_distinct_matrix():
 
     char_poly.cache_clear()
     root_radius.cache_clear()
-    # a palindrome and then one Kronecker lap: 4 signs, 2 E's, 2 E_J's
+    # a palindrome and then one Kronecker lap: 4 signs, 2 E_J's
     steps = (Flip(0), Flip(1), Flip(1), Flip(0), Flip(0), Permute((1, 0, 2, 3)))
     path = MutationPath(block_seed(3, 2), steps)
     report = block_structure_check(path, frozen_out=(2, 3))
     assert report.ok and report.sign_count == 4
     polys, radii = char_poly.cache_info(), root_radius.cache_info()
-    distinct = set()
+    blocks = set()
     for eps, rho_full, rho_j in report.details:
         e = presentation_matrix_for_sign(path, eps)
         e_j = tuple(tuple(row[:2]) for row in e[:2])
-        distinct |= {e, e_j}
-        assert (rho_full, rho_j) == (spectral_radius(e)[0], spectral_radius(e_j)[0])
-    assert len(distinct) == 4
-    # 8 lookups each; one polynomial per distinct matrix, one radius per
-    # distinct polynomial
-    assert (polys.hits + polys.misses, polys.misses) == (8, 4)
-    distinct_polys = {char_poly(m) for m in distinct}
-    assert (radii.hits + radii.misses, radii.misses) == (8, len(distinct_polys))
+        blocks.add(e_j)
+        # the full matrix's radius is the same float, without being taken
+        assert rho_full == rho_j == spectral_radius(e_j)[0] == spectral_radius(e)[0]
+    assert len(blocks) == 2
+    # one lookup each per sign, of E_J only; one polynomial per distinct
+    # E_J, one radius per distinct polynomial
+    assert (polys.hits + polys.misses, polys.misses) == (4, 2)
+    distinct_polys = {char_poly(m) for m in blocks}
+    assert (radii.hits + radii.misses, radii.misses) == (4, len(distinct_polys))
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _oracle_block_form(path, frozen_out, eps):
+    """E^eps rebuilt with the oracle formulas, and the cycle lengths of the
+    permutation sigma of K that its K columns e_sigma(k) make, after the
+    block theorem is checked on it: |det E| = 1 and charpoly(E) =
+    charpoly(E_J) * prod(nu^c - 1) over sigma's cycles."""
+    b = path.initial.b
+    order = sorted(path.initial.unfrozen)
+    n = len(order)
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    signs = iter(eps)
+    for step in path.steps:
+        if isinstance(step, Flip):
+            col = [b[i][step.k] for i in order]
+            e = mat_mul(edge_matrix(col, order.index(step.k), next(signs)), e)
+            b = mutated(b, step.k)
+        else:
+            e = mat_mul(perm_matrix([order.index(step.sigma[i]) for i in order]), e)
+            b = relabeled(b, step.sigma)
+    k_pos = [p for p, idx in enumerate(order) if idx in frozen_out]
+    j_pos = [p for p in range(n) if p not in k_pos]
+    sigma = {}
+    for q in k_pos:
+        column = [row[q] for row in e]
+        assert sorted(column) == [0] * (n - 1) + [1]
+        sigma[q] = column.index(1)
+    assert sorted(sigma.values()) == k_pos
+    assert abs(det(e)) == 1
+    lengths, seen = [], set()
+    for start in k_pos:
+        q, c = start, 0
+        while q not in seen:
+            seen.add(q)
+            q, c = sigma[q], c + 1
+        lengths += [c] if c else []
+    factor = (1,)
+    for c in lengths:
+        factor = _poly_mul(factor, (-1,) + (0,) * (c - 1) + (1,))
+    e_j = [[e[p][q] for q in j_pos] for p in j_pos]
+    assert charpoly(e) == _poly_mul(charpoly(e_j), factor)
+    return tuple(map(tuple, e)), sorted(lengths)
+
+
+def test_block_form_theorem_against_oracle_presentations():
+    from test_acceptance import _random_block_case
+
+    rng = random.Random(31)
+    cases = [_random_block_case(rng) for _ in range(100)]  # criterion 12
+    rng = random.Random(32)
+    for _ in range(12):  # rank 6, palindromes of 6 to 10 flips inside J
+        b = [[0] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(i + 1, 6):
+                b[i][j] = rng.randint(-2, 2)
+                b[j][i] = -b[i][j]
+        j_count = rng.randint(2, 4)
+        half = [rng.randrange(j_count) for _ in range(rng.randint(3, 5))]
+        steps = tuple(Flip(k) for k in half + half[::-1])
+        cases.append((MutationPath(Seed(b, frozenset(range(6))), steps),
+                      tuple(range(j_count, 6))))
+    # a loop whose permutation swaps K, so that E_K is not the identity
+    swap = Seed([[0, -3, 0, 0], [3, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                frozenset(range(4)))
+    cases.append((MutationPath(swap, (Flip(0), Permute((1, 0, 3, 2)))), (2, 3)))
+    signs = 0
+    for path, frozen_out in cases:
+        for eps, _, _ in block_structure_check(path, frozen_out).details:
+            e, lengths = _oracle_block_form(path, frozen_out, eps)
+            assert e == presentation_matrix_for_sign(path, eps)
+            signs += 1
+    assert signs > 300
+    assert lengths == [2]  # the swap loop's last sign
+
+
+@pytest.mark.parametrize("e", [
+    ((-1, 0, 1, 0), (3, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # (J, K) entry
+    ((-1, 0, 0, 0), (3, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)),  # E_K = diag(2, 1)
+    ((-1, 0, 0, 0), (3, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)),  # both K columns e_2
+])
+def test_block_structure_raises_on_a_broken_presentation(monkeypatch, e):
+    import signstab.reduction
+
+    monkeypatch.setattr(signstab.reduction, "realizable_branches",
+                        lambda path: iter([((1,), (1, 0, 0, 0), e)]))
+    path = MutationPath(block_seed(3, 5), (Flip(0), Permute((1, 0, 2, 3))))
+    with pytest.raises(ArithmeticError, match="K columns"):
+        block_structure_check(path, frozen_out=(2, 3))
+
+
+def test_block_structure_needs_a_nonempty_j():
+    path = MutationPath(block_seed(2, 2), (Permute((1, 0, 3, 2)),))
+    with pytest.raises(SplitViolationError, match="J empty"):
+        block_structure_check(path, frozen_out=(0, 1, 2, 3))
 
 
 def test_block_structure_no_flips():
@@ -219,6 +332,18 @@ def test_cycle_lengths_below_one_are_an_error(lengths):
     for p in (IntPoly((-1, 0, 1)), IntPoly((1, -3, 1))):
         with pytest.raises(ValueError, match=message):
             permutation_factor_check(p, lengths)
+
+
+@pytest.mark.parametrize("lengths", [[1.5], [2.0], ["2"], [True], [1, 2.0]])
+def test_cycle_lengths_that_are_not_ints_are_an_error(lengths):
+    from signstab.stability import cyclotomic_like_product
+
+    bad = next(c for c in lengths if type(c) is not int)
+    message = re.escape(f"cycle length {bad!r} is not an int")
+    with pytest.raises(ValueError, match=message):
+        cyclotomic_like_product(lengths)
+    with pytest.raises(ValueError, match=message):
+        permutation_factor_check(IntPoly((-1, 0, 1)), lengths)
 
 
 def test_sign_restriction_property(sphere_path, sphere_cone):
