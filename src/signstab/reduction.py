@@ -22,7 +22,8 @@ from .stability import (
     realizable_branches,
     spectral_radius,
 )
-from .tropical import SignSeq, TropPoint, check_point, sign_of_path, transport
+from .tropical import (SignSeq, TropPoint, check_point, check_sign,
+                       sign_of_path, transport)
 
 
 class Cone(FrozenRecord):
@@ -88,11 +89,10 @@ def hereditary_check(
     path: MutationPath, cone: Cone, eps_stab: SignSeq
 ) -> HereditaryReport:
     """Every cone-compatible flip position must carry a strict stable sign."""
-    if len(eps_stab) != path.h:
-        raise DimensionMismatchError("stable sign has wrong length")
+    zeros = check_sign(path, eps_stab)
     compat = edge_compatibility(path, cone)
     positions = [i for i, c in enumerate(compat) if c]
-    violations = [i for i in positions if eps_stab[i] == 0]
+    violations = [i for i in positions if i in zeros]
     return HereditaryReport(not violations, positions, violations)
 
 

@@ -61,6 +61,7 @@ from .tropical import (
     SignSeq,
     TropPoint,
     check_point,
+    check_sign,
     is_strict,
     normalize_ints,
     point_from_ints,
@@ -173,14 +174,12 @@ def _stabilization_index(signs) -> Optional[int]:
 
 
 def detect_stable_sign(report: OrbitReport, window: int) -> Optional[SignSeq]:
-    """Common strict sign of the last `window` iterations, if constant."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if len(report.signs) < window:
-        return None
-    tail = report.signs[-window:]
-    if all(s == tail[0] for s in tail) and is_strict(tail[0]):
-        return tail[0]
+    """Common strict sign of the last `window` iterations, if constant:
+    the weak stable sign when the orbit has `window` signs and that sign
+    is strict."""
+    weak = detect_weak_stable_sign(report, window)
+    if len(report.signs) >= window and is_strict(weak):
+        return weak
     return None
 
 
@@ -222,37 +221,37 @@ def realizable_branches(
 
     With ``stable`` only the strict completions of it are searched: a strict
     entry fixes that flip's side and a zero entry takes both.  Each tree
-    node carries the running product, the feasibility tableau of its open
-    cone and the set of that cone's rows.  A flip splits on the sign of the
-    mutating functional; each child extends its parent's tableau by that
-    one row, which shares the parent's tableau when the row prices out and
-    otherwise pivots on from the parent's basis, or is pruned when its cone
-    is certified empty.  Every multiplier that proves a cone empty
-    is kept for the rest of the search, filed under each row of its
-    support: a child whose new row the parent's witness does not already
-    satisfy is pruned without a solve when a kept multiplier's rows all lie
-    in its cone, after that multiplier is checked again exactly.
-    ``max_branch`` bounds the number of nodes visited.
+    node carries the running product and the feasibility tableau of its
+    open cone.  A flip splits on the sign of the mutating functional; each
+    child extends its parent's tableau by that one row, which shares the
+    parent's tableau when the row prices out and otherwise pivots on from
+    the parent's basis, or is pruned when its cone is certified empty.
+    Every multiplier that proves a cone empty is kept for the rest of the
+    search, filed under each row of its support: a child whose new row the
+    parent's witness does not already satisfy is pruned without a solve
+    when a kept multiplier's rows all lie in its cone, after that
+    multiplier is checked again exactly.  ``max_branch`` bounds the number
+    of nodes visited, and ``tropical.check_sign`` checks ``stable``.
     """
     if max_branch is not None and max_branch < 1:
         raise ValueError("max_branch must be >= 1")
     if stable is None:
         stable = (0,) * path.h
-    elif len(stable) != path.h:
-        raise DimensionMismatchError("stable sign has wrong length")
+    check_sign(path, stable)
     n = path.compiled.n
     visits = count() if max_branch is None else iter(range(max_branch))
     return _sign_tree(path.compiled.steps, stable, visits, {}, 0,
-                      list(mx.identity(n)), Tableau.empty(n), frozenset(), ())
+                      list(mx.identity(n)), Tableau.empty(n), ())
 
 
 def _sign_tree(steps, stable, visits, multipliers, step_idx, matrix, tableau,
-               rows, prefix):
+               prefix):
     """The realizable branches below the node that took the first step_idx
     steps with the signs in prefix (see :func:`realizable_branches`): matrix
     is its running product, a list of rows relabeled here in place, and
-    tableau and rows its open cone.  Each visit takes one item of visits;
-    multipliers files each kept multiplier under each row of its support."""
+    tableau its open cone, whose rows are tableau.cons.  Each visit takes
+    one item of visits; multipliers files each kept multiplier under each
+    row of its support."""
     if next(visits, None) is None:
         raise SignstabError("branch budget exhausted (max_branch)")
     while step_idx < len(steps) and type(steps[step_idx]) is PermStep:
@@ -271,8 +270,9 @@ def _sign_tree(steps, stable, visits, multipliers, step_idx, matrix, tableau,
     for side in (fixed,) if fixed else (1, -1):
         row = primitive if side > 0 else tuple(map(neg, primitive))
         kept = multipliers.get(row, ()) if side * dot <= 0 else ()
+        cone = set(tableau.cons) if kept else None
         for others, multiplier in kept:
-            if others <= rows:  # the multiplier proves this cone empty
+            if others <= cone:  # the multiplier proves this cone empty
                 check_gordan(multiplier)
                 break
         else:
@@ -286,7 +286,7 @@ def _sign_tree(steps, stable, visits, multipliers, step_idx, matrix, tableau,
             CompiledPath.apply_left(child_matrix, step, side)
             yield from _sign_tree(steps, stable, visits, multipliers,
                                   step_idx + 1, child_matrix, child,
-                                  rows | {row}, prefix + (side,))
+                                  prefix + (side,))
 
 
 def enumerate_realizable_signs_with_witnesses(
@@ -667,7 +667,7 @@ def stretch_factor(
     """
     if not is_loop(path):
         raise LoopRequiredError("stretch factor needs a mutation loop")
-    zeros = [i for i, e in enumerate(eps_stab) if e == 0][::-1]
+    zeros = check_sign(path, eps_stab)[::-1]
     branches = sorted(
         realizable_branches(path, stable=eps_stab),
         key=lambda branch: [branch[0][i] for i in zeros],

@@ -77,17 +77,19 @@ def check_point(seed: Seed, w: Sequence[Scalar]) -> TropPoint:
     return exact_point(w)
 
 
-def check_strict_sign(path: MutationPath, eps: SignSeq) -> None:
-    """Require a strict sign sequence with one entry per flip of the path."""
+def check_sign(path: MutationPath, eps: SignSeq) -> tuple[int, ...]:
+    """The zero positions of eps, a sign sequence of the path: one entry
+    per flip, else a DimensionMismatchError, and each entry the int -1, 0
+    or 1, else a ValueError naming it and its flip position."""
     if len(eps) != path.h:
         raise DimensionMismatchError(
             f"sign sequence length {len(eps)} differs from h = {path.h}"
         )
-    if not is_strict(eps):
-        raise NonStrictSignError(
-            tuple(i for i, e in enumerate(eps) if e == 0),
-            "a strict sign sequence is required",
-        )
+    for i, e in enumerate(eps):
+        if type(e) is not int or e not in (1, 0, -1):
+            raise ValueError(
+                f"sign entry {e!r} at flip position {i} is not -1, 0 or 1")
+    return tuple(i for i, e in enumerate(eps) if e == 0)
 
 
 # -- integer points ---------------------------------------------------------------
@@ -186,7 +188,6 @@ def trop_mutate(seed: Seed, k: int, w: Sequence[Scalar]) -> TropPoint:
 
     x'_k = -x_k and x'_i = x_i + [sgn(x_k) * b_ik]_+ * x_k for i != k.
     """
-    seed.require_unfrozen(k)
     return transport(MutationPath(seed, (Flip(k),)), w)[0]
 
 
@@ -210,21 +211,19 @@ def sign_of_path(path: MutationPath, w: Sequence[Scalar]) -> SignSeq:
 def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
     """Linear branch of the tropical transformation on the half-space
     sgn(x_k) = eps: E_kk = -1, E_ik = [eps*b_ik]_+, identity elsewhere."""
-    if eps not in (1, -1):
-        raise NonStrictSignError((0,), "edge matrix requires a strict sign")
     return presentation_matrix_for_sign(MutationPath(seed, (Flip(k),)), (eps,))
 
 
 def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:
     """E_gamma^eps: the product, in application order (right to left), of edge
-    matrices at the recorded seeds and permutation matrices."""
-    check_strict_sign(path, eps)
+    matrices at the recorded seeds and permutation matrices, for a strict
+    sign sequence eps: a zero entry is a NonStrictSignError."""
+    zeros = check_sign(path, eps)
+    if zeros:
+        raise NonStrictSignError(zeros)
     return mx.freeze(path.compiled.branch(eps))
 
 
 def presentation_matrix_at_point(path: MutationPath, w: Sequence[Scalar]) -> mx.Matrix:
     """Presentation matrix at a differentiable point (strict sign required)."""
-    eps = sign_of_path(path, w)
-    if not is_strict(eps):
-        raise NonStrictSignError(tuple(i for i, e in enumerate(eps) if e == 0))
-    return presentation_matrix_for_sign(path, eps)
+    return presentation_matrix_for_sign(path, sign_of_path(path, w))

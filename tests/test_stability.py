@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import perm_matrix, poly_with_top_modulus
 
 from signstab import (
+    Cone,
     DimensionMismatchError,
     Flip,
     FormatError,
@@ -31,12 +32,15 @@ from signstab import (
     char_poly,
     detect_stable_sign,
     detect_weak_stable_sign,
+    edge_matrix,
     enumerate_realizable_signs,
     enumerate_realizable_signs_with_witnesses,
+    hereditary_check,
     iterate_orbit,
     parse_sign_str,
     presentation_matrix_for_sign,
     quad_sqrt,
+    realizable_branches,
     sign_geq,
     sign_of_path,
     spectral_radius,
@@ -108,7 +112,17 @@ def test_weak_all_zero_flagged():
     path = MutationPath(seed, (Flip(0),))
     report = iterate_orbit(path, (F(1),), 6, window=4)
     assert report.detected_weak_stable == (0,)
+    assert report.detected_stable is None
     assert report.all_zero_warning
+
+
+def test_stable_sign_of_an_empty_path(data_dir):
+    # h = 0: the empty sign is strict once the orbit has `window` signs
+    path = sio.load_path(data_dir / "empty_path.json")
+    assert iterate_orbit(path, (F(1),), 1).detected_stable is None
+    report = iterate_orbit(path, (F(1),), 4, window=2)
+    assert report.detected_stable == ()
+    assert detect_stable_sign(report, 4) == ()
 
 
 def test_orbit_normalization_preserves_signs():
@@ -215,13 +229,51 @@ def test_report_witnesses_on_sampled_sphere3b_signs(sphere_path,
         assert sign_of_path(sphere_path, w) == parse_sign_str(text)
 
 
+# Every engine entry that takes a sign sequence, as (call on the sequence,
+# its length h, whether it needs a strict sequence); edge_matrix takes the
+# one entry of its one-flip path's sequence.  kron3 is a loop with h = 1.
+SIGN_ENTRIES = {
+    "presentation_matrix_for_sign": (
+        lambda eps: presentation_matrix_for_sign(a2_path(), eps), 3, True),
+    "edge_matrix": (lambda eps: edge_matrix(A2, 0, *eps), 1, True),
+    "realizable_branches": (
+        lambda eps: realizable_branches(a2_path(), stable=eps), 3, False),
+    "stretch_factor": (lambda eps: stretch_factor(kron_path(3), eps), 1, False),
+    "hereditary_check": (
+        lambda eps: hereditary_check(a2_path(), Cone((frac(1, 1),)), eps),
+        3, False),
+}
+
+
 def test_strict_sign_of_length_h_required():
-    path = a2_path()
-    with pytest.raises(DimensionMismatchError):
-        presentation_matrix_for_sign(path, (1, 1))
-    with pytest.raises(NonStrictSignError) as err:
-        presentation_matrix_for_sign(path, (1, 0, 1))
-    assert err.value.positions == (1,)
+    for name, (call, h, strict) in SIGN_ENTRIES.items():
+        for bad in (2, -2, True, 1.0, "+"):
+            eps = (1,) * (h - 1) + (bad,)
+            with pytest.raises(ValueError, match=f"flip position {h - 1}"):
+                call(eps)
+        if name != "edge_matrix":  # its one entry has no length to get wrong
+            with pytest.raises(DimensionMismatchError,
+                               match=f"sign sequence length {h + 1} differs"):
+                call((1,) * (h + 1))
+        zero = (0,) + (1,) * (h - 1)
+        if strict:
+            with pytest.raises(NonStrictSignError) as err:
+                call(zero)
+            assert err.value.positions == (0,), name
+            assert str(err.value) == "sign is zero at flip positions (0,)"
+        else:
+            call(zero)
+
+
+def test_kron3_sign_entries_outside_plus_zero_minus_rejected():
+    # FlipStep.cols is indexed by the sign, so an unchecked 2 would read
+    # cols[2] = cols[-1], the minus branch, and -2 the plus branch
+    path = kron_path(3)
+    with pytest.raises(ValueError):
+        presentation_matrix_for_sign(path, (2,))
+    with pytest.raises(ValueError):
+        stretch_factor(path, (-2,))
+    assert presentation_matrix_for_sign(path, (-1,)) == ((0, 1), (-1, 0))
 
 
 # -- polynomials -----------------------------------------------------------------

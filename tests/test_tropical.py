@@ -6,8 +6,10 @@ import pytest
 from oracles import det, mat_vec, trop_step
 
 from signstab import (
+    DimensionMismatchError,
     Flip,
     FormatError,
+    FrozenIndexError,
     MutationPath,
     NonStrictSignError,
     Permute,
@@ -15,6 +17,7 @@ from signstab import (
     RadicandMismatchError,
     Seed,
     edge_matrix,
+    mutate_b,
     parse_sign_str,
     presentation_matrix_at_point,
     presentation_matrix_for_sign,
@@ -75,6 +78,20 @@ def test_edge_matrix_examples():
     assert edge_matrix(s, 0, -1) == ((-1, 0), (0, 1))
     with pytest.raises(NonStrictSignError):
         edge_matrix(s, 0, 0)
+
+
+def test_one_flip_functions_reject_a_frozen_index():
+    s = Seed([[0, 1], [-1, 0]], {0})
+    for k in (1, 5):  # frozen, out of range
+        with pytest.raises(FrozenIndexError):
+            trop_mutate(s, k, (Fraction(1),))
+        with pytest.raises(FrozenIndexError):
+            edge_matrix(s, k, 1)
+        with pytest.raises(FrozenIndexError):
+            mutate_b(s, k)
+    # the point is checked before the one-flip path is compiled
+    with pytest.raises(DimensionMismatchError):
+        trop_mutate(s, 1, (Fraction(1), Fraction(2)))
 
 
 def test_edge_matrices_agree_on_wall():
