@@ -33,7 +33,8 @@ in exact arithmetic polish the top one (see :func:`root_radius`).  Each
 distinct matrix and each distinct polynomial takes that pass once a
 process: :func:`char_poly` and :func:`root_radius` keep bounded LRU caches.
 Floats are never used for sign decisions; exactness claims are routed
-through verify_eigenpair or polynomial evaluation in Q(sqrt(d)).
+through verify_eigenpair or polynomial evaluation in Q(sqrt(d)), which is
+one Horner pass in the integers (:meth:`IntPoly.__call__`).
 """
 
 from __future__ import annotations
@@ -55,13 +56,15 @@ from .errors import (
     SignstabError,
 )
 from .feasibility import Tableau, check_gordan
-from .scalars import FrozenRecord, QuadExt, Record, Scalar, scalar_sign
+from .scalars import (FrozenRecord, QuadExt, Record, Scalar, scalar_ints,
+                      scalar_sign)
 from .seeds import CompiledPath, MutationPath, PermStep, Seed, is_loop
 from .tropical import (
     SignSeq,
     TropPoint,
     check_point,
     check_sign,
+    check_sign_entries,
     is_strict,
     normalize_ints,
     point_from_ints,
@@ -202,9 +205,12 @@ def detect_weak_stable_sign(report: OrbitReport, window: int) -> SignSeq:
 
 
 def sign_geq(a: SignSeq, b: SignSeq) -> bool:
-    """a >= b in the zeroing order: b arises from a by zeroing strict entries."""
+    """a >= b in the zeroing order: b arises from a by zeroing strict
+    entries.  ``tropical.check_sign_entries`` checks both."""
     if len(a) != len(b):
         raise DimensionMismatchError("sign sequences of different length")
+    check_sign_entries(a)
+    check_sign_entries(b)
     return all(y == 0 or y == x for x, y in zip(a, b))
 
 
@@ -329,10 +335,30 @@ class IntPoly(FrozenRecord):
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        """p(x), exact, for an int, Fraction or QuadExt x: an int, a
+        Fraction or a QuadExt over x's radicand, as x is.  Any other x,
+        such as a float, is a TypeError.
+
+        One Horner pass in the integers: with x = (a + b*sqrt(d)) / den
+        (``scalars.scalar_ints``), den^n * p(x) = u + v*sqrt(d) for
+        n = deg p, and the result is built once from u, v and den^n.  As
+        sqrt(d) is irrational, p(x) = 0 exactly when u = v = 0.
+        """
+        if not isinstance(x, (int, Fraction, QuadExt)):
+            raise TypeError(f"cannot evaluate a polynomial at {x!r}: "
+                            "not an int, Fraction or QuadExt")
+        a, b, den, d = scalar_ints(x)
+        bd = b * d
+        coeffs = self.coeffs
+        u, v, scale = coeffs[-1], 0, 1
+        for c in coeffs[-2::-1]:
+            scale *= den
+            u, v = u * a + v * bd + c * scale, u * b + v * a
+        if isinstance(x, int):
+            return u
+        if isinstance(x, Fraction):
+            return Fraction(u, scale)
+        return QuadExt._of(Fraction(u, scale), Fraction(v, scale), d)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs

@@ -39,7 +39,14 @@ _CHAR_TO_SIGN = {"+": 1, "0": 0, "-": -1}
 
 
 def sign_str(eps: SignSeq) -> str:
-    return "".join(_SIGN_TO_CHAR[e] for e in eps)
+    """eps as text, one of "+", "0" and "-" per entry, by one table lookup
+    per entry: an entry equal to none of -1, 0 and 1 is
+    :func:`check_sign_entries`'s ValueError."""
+    try:
+        return "".join([_SIGN_TO_CHAR[e] for e in eps])
+    except (KeyError, TypeError):
+        check_sign_entries(eps)
+        raise
 
 
 def parse_sign_str(text: str) -> SignSeq:
@@ -51,7 +58,9 @@ def parse_sign_str(text: str) -> SignSeq:
 
 
 def is_strict(eps: SignSeq) -> bool:
-    return all(e != 0 for e in eps)
+    """No entry of eps is 0; :func:`check_sign_entries` checks them."""
+    check_sign_entries(eps)
+    return 0 not in eps
 
 
 def exact_point(w: Sequence) -> TropPoint:
@@ -85,11 +94,17 @@ def check_sign(path: MutationPath, eps: SignSeq) -> tuple[int, ...]:
         raise DimensionMismatchError(
             f"sign sequence length {len(eps)} differs from h = {path.h}"
         )
+    check_sign_entries(eps)
+    return tuple(i for i, e in enumerate(eps) if e == 0)
+
+
+def check_sign_entries(eps: SignSeq) -> None:
+    """Each entry of eps is the int -1, 0 or 1, else a ValueError naming
+    it and its flip position: the one entry check of every sign helper."""
     for i, e in enumerate(eps):
         if type(e) is not int or e not in (1, 0, -1):
             raise ValueError(
                 f"sign entry {e!r} at flip position {i} is not -1, 0 or 1")
-    return tuple(i for i, e in enumerate(eps) if e == 0)
 
 
 # -- integer points ---------------------------------------------------------------

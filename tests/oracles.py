@@ -223,3 +223,15 @@ def scalar_json(a, b, d):
     if a == 0:
         return tail if b > 0 else "-" + tail
     return f"{a}{'+' if b > 0 else '-'}{tail}"
+
+
+def quadratic_value(coeffs, a, b, d):
+    """p(a + b*sqrt(d)) as the pair (A, B) of Fractions with value
+    A + B*sqrt(d), for ascending integer coefficients of p, rationals a, b
+    and an integer d: Horner's rule on pairs, (x + y*sqrt(d))(a + b*sqrt(d))
+    = (xa + dyb) + (xb + ya)*sqrt(d)."""
+    a, b = Fraction(a), Fraction(b)
+    x, y = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        x, y = x * a + d * y * b + c, x * b + y * a
+    return x, y

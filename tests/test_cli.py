@@ -808,6 +808,34 @@ def test_b_walk_reports_are_pinned(capsys, argv, want_code, want_sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want_sha256
 
 
+# sha256 of `stretch --candidate` reports, recorded while polynomials were
+# still evaluated by Horner's rule in Fraction and QuadExt arithmetic: the
+# one integer Horner pass must leave every byte as it was, an accepted
+# candidate's and a rejected one's
+STRETCH_REPORTS = [
+    pytest.param("sphere3b_path.json", "+++00-+--+00-+++", "3/2+1/2*sqrt(5)",
+                 "f6fc60ea630ea18a61dfec0ef5a065e5a0639bf1a903325498a88c33e62c07cf",
+                 id="sphere3b"),
+    pytest.param("kron3_path.json", "+", "3/2+1/2*sqrt(5)",
+                 "191bca86c53aa9d29afe5db8e5f75e54f0e19861c4fc50fbf7cfc951aedfd5c5",
+                 id="kron3"),
+    pytest.param("sphere3b_path.json", "+++00-+--+00-+++", "2",
+                 "f6820ec91a541e087068603a25fc18602fdf022c10374e0d7f59870457f6cd37",
+                 id="sphere3b-rejected"),
+]
+
+
+@pytest.mark.parametrize("path,stable,candidate,want_sha256", STRETCH_REPORTS)
+def test_stretch_reports_are_pinned(capsys, path, stable, candidate,
+                                    want_sha256):
+    code, out, _ = run(capsys, "--json-only", "stretch",
+                       "--path", f"{DATA}/{path}", "--stable", stable,
+                       "--candidate", candidate)
+    assert code == 0
+    assert json.loads(out)["result"]["exact_verified"] is (candidate != "2")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want_sha256
+
+
 RADICAND_MISMATCH_REPORT = (
     '{\n  "error": "RadicandMismatchError",\n'
     '  "message": "cannot mix sqrt(5) with sqrt(2)",\n'

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import perm_matrix, poly_with_top_modulus
+from oracles import perm_matrix, poly_with_top_modulus, quadratic_value
 
 from signstab import (
     Cone,
@@ -36,6 +36,7 @@ from signstab import (
     enumerate_realizable_signs,
     enumerate_realizable_signs_with_witnesses,
     hereditary_check,
+    is_strict,
     iterate_orbit,
     parse_sign_str,
     presentation_matrix_for_sign,
@@ -43,6 +44,7 @@ from signstab import (
     realizable_branches,
     sign_geq,
     sign_of_path,
+    sign_str,
     spectral_radius,
     stretch_factor,
     verify_eigenpair,
@@ -265,6 +267,29 @@ def test_strict_sign_of_length_h_required():
             call(zero)
 
 
+def test_sign_helpers_check_every_entry():
+    helpers = {
+        "is_strict": is_strict,
+        "sign_str": sign_str,
+        "sign_geq(eps, eps)": lambda eps: sign_geq(eps, eps),
+        "sign_geq(+, eps)": lambda eps: sign_geq((1,) * len(eps), eps),
+        "sign_geq(eps, 0)": lambda eps: sign_geq(eps, (0,) * len(eps)),
+    }
+    for name, call in helpers.items():
+        for bad in (2, -2, True, 1.0, "+", [1]):
+            if name == "sign_str" and bad in (True, 1.0):
+                # one table lookup per entry renders these by value
+                assert call((1, 0, bad)) == "+0+"
+                continue
+            with pytest.raises(ValueError, match="flip position 2 is not"):
+                call((1, 0, bad))
+    assert sign_str((1, 0, -1)) == "+0-" and sign_str(()) == ""
+    assert is_strict((1, -1)) and not is_strict((1, 0)) and is_strict(())
+    assert sign_geq((1, -1), (0, -1)) and not sign_geq((1, -1), (-1, 0))
+    with pytest.raises(DimensionMismatchError):
+        sign_geq((1,), (1, 1))
+
+
 def test_kron3_sign_entries_outside_plus_zero_minus_rejected():
     # FlipStep.cols is indexed by the sign, so an unchecked 2 would read
     # cols[2] = cols[-1], the minus branch, and -2 the plus branch
@@ -323,6 +348,72 @@ def test_intpoly_behaviour():
     assert q.divides_into(prod).coeffs == p.coeffs
     assert q.divides_into(IntPoly((1, 1))) is None
     assert str(IntPoly((1, -3, 1))) == "nu^2 - 3*nu + 1"
+
+
+def _random_point(rng, kind):
+    """(point, a, b, d, integer minimal polynomial) of one random int,
+    Fraction or QuadExt point a + b*sqrt(d)."""
+    if kind == "int":
+        a = rng.randint(-9, 9)
+        return a, a, 0, 0, (-a, 1)
+    a = F(rng.randint(-40, 40), rng.randint(1, 12))
+    if kind == "Fraction":
+        return a, a, 0, 0, (-a.numerator, a.denominator)
+    b = F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12))
+    d = rng.choice([2, 3, 5, 6, 7, 13])
+    # nu^2 - 2a nu + (a^2 - d b^2), cleared of denominators
+    den = (a.denominator * b.denominator) ** 2
+    minimal = tuple(int(c * den) for c in (a * a - d * b * b, -2 * a, 1))
+    return QuadExt(a, b, d), a, b, d, minimal
+
+
+def _assert_oracle_value(p, point, a, b, d):
+    got = p(point)
+    want_a, want_b = quadratic_value(p.coeffs, a, b, d)
+    if type(point) is int:
+        assert type(got) is int and got == want_a and want_b == 0
+    elif type(point) is F:
+        assert type(got) is F and got == want_a and want_b == 0
+    else:
+        assert type(got) is QuadExt
+        assert (got.a, got.b, got.d) == (want_a, want_b, d)
+        assert type(got.a) is F and type(got.b) is F
+    return got
+
+
+def test_intpoly_values_match_the_pair_of_fractions_oracle():
+    rng = random.Random(33)
+    for _ in range(600):
+        kind = rng.choice(["int", "Fraction", "QuadExt"])
+        point, a, b, d, minimal = _random_point(rng, kind)
+        p = IntPoly(tuple(rng.randint(-60, 60)
+                          for _ in range(rng.randint(1, 13))))
+        _assert_oracle_value(p, point, a, b, d)
+        # a multiple of the point's minimal polynomial vanishes there
+        assert _assert_oracle_value(p * IntPoly(minimal), point, a, b, d) == 0
+    # the zero polynomial and constants keep the point's type
+    for kind in ("int", "Fraction", "QuadExt"):
+        point, a, b, d, _ = _random_point(rng, kind)
+        for coeffs in ((0,), (7,), (-3,)):
+            _assert_oracle_value(IntPoly(coeffs), point, a, b, d)
+
+
+def test_intpoly_value_with_a_4000_digit_coefficient():
+    big = 7 ** 4733  # 4,000 digits
+    assert len(str(big)) == 4000
+    p = IntPoly((big, -3 * big, 1, 0, -big))
+    for point in (5, F(-7, 3), QuadExt(F(3, 2), F(1, 2), 5)):
+        a, b, d = ((point.a, point.b, point.d) if type(point) is QuadExt
+                   else (point, 0, 0))
+        _assert_oracle_value(p, point, a, b, d)
+    golden = QuadExt(F(3, 2), F(1, 2), 5)  # a root of nu^2 - 3 nu + 1
+    assert (p * IntPoly((1, -3, 1)))(golden) == 0
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, Decimal(2), "2", None, complex(1, 1)])
+def test_intpoly_evaluates_only_at_exact_scalars(x):
+    with pytest.raises(TypeError, match="not an int, Fraction or QuadExt"):
+        IntPoly((1, -3, 1))(x)
 
 
 # -- spectral radius --------------------------------------------------------------
@@ -560,6 +651,37 @@ def test_stretch_takes_one_radius_per_distinct_polynomial(sphere_path):
         p = char_poly(presentation_matrix_for_sign(sphere_path, eps))
         assert by_poly.setdefault(p, (rho, bound)) == (rho, bound)
     assert len(by_poly) == 3
+
+
+# Candidates that fail on sphere3b, whose stretch factor is (3 + sqrt 5)/2,
+# as (candidate, whether it is a root of every table polynomial)
+REJECTED_CANDIDATES = {
+    "conjugate": ((3 - quad_sqrt(5)) / 2, True),  # a root, far from lambda
+    "1+sqrt(2)": (1 + quad_sqrt(2), False),
+    "2": (F(2), False),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REJECTED_CANDIDATES))
+def test_stretch_rejects_a_candidate_on_sphere3b(sphere_path, label):
+    candidate, root_of_all = REJECTED_CANDIDATES[label]
+    eps_stab = parse_sign_str("+++00-+--+00-+++")
+    report = stretch_factor(sphere_path, eps_stab, candidate=candidate)
+    assert report.exact_verified is False and report.exact_value is None
+    assert report.radii_all_equal and len(report.table) == 16
+    polys = {char_poly(presentation_matrix_for_sign(sphere_path, eps))
+             for eps, _, _ in report.table}
+    assert len(polys) == 3
+    values = [p(candidate) for p in polys]
+    assert all(type(v) is type(candidate) for v in values)
+    if root_of_all:
+        assert values == [0, 0, 0]
+        assert abs(float(candidate) - report.value) > 1
+    else:
+        assert all(v != 0 for v in values)
+    accepted = stretch_factor(sphere_path, eps_stab,
+                              candidate=(3 + quad_sqrt(5)) / 2)
+    assert (accepted.value, accepted.table) == (report.value, report.table)
 
 
 def test_stretch_requires_realizable_completion():
