@@ -85,14 +85,6 @@ def _matrix_arg(text: str):
     return sio.matrix_from_obj(_inline_or_file(text, "--matrix"), where="--matrix")
 
 
-def _int_matrix_arg(text: str):
-    m = _matrix_arg(text)
-    if not all(isinstance(x, Fraction) and x.denominator == 1
-               for row in m for x in row):
-        raise FormatError("--matrix: entries must be integers")
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
 def _scalar_arg(text: str, flag: str):
     """The exact scalar of a flag; a bad literal is a FormatError naming the
     flag."""
@@ -257,8 +249,9 @@ def cmd_presentation(args):
 
 def cmd_charpoly(args):
     if args.matrix is not None and args.path is None and args.sign is None:
-        m = _int_matrix_arg(args.matrix)
-        inputs = {"matrix": _matrix_json(m)}
+        # char_poly checks that each entry is an integer
+        m = _matrix_arg(args.matrix)
+        inputs = {"matrix": [_point_json(row) for row in m]}
     elif args.matrix is not None or args.path is None or args.sign is None:
         raise UsageError("charpoly: need --matrix alone, or --path and --sign")
     else:

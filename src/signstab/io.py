@@ -20,7 +20,7 @@ from typing import Any
 from .errors import (FormatError, FrozenIndexError, MagnitudeError,
                      SplitViolationError)
 from .scalars import Scalar, format_ints, parse_scalar, scalar_ints
-from .seeds import Flip, MutationPath, Permute, Seed, Triangulation, check_split
+from .seeds import Flip, MutationPath, Permute, Seed, Triangulation
 
 SCHEMA_VERSION = 1
 
@@ -42,11 +42,6 @@ def _expect(obj, key, kind, where):
     if kind is not None and not isinstance(val, kind):
         raise FormatError(f"{where}: key {key!r} has wrong type")
     return val
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_coord(value) -> Scalar:
@@ -92,15 +87,14 @@ def seed_from_obj(obj, where="seed") -> Seed:
     n = _expect(obj, "n", int, where)
     unfrozen = _expect(obj, "unfrozen", list, where)
     b = _expect(obj, "B", list, where)
-    if not _is_int(n) or not all(_is_int(i) for i in unfrozen):
-        raise FormatError(f"{where}: n and unfrozen indices must be integers")
+    if isinstance(n, bool):  # JSON true loads as a bool, an int equal to 1
+        raise FormatError(f"{where}: sizes and indices must be integers, "
+                          f"n is {n!r}")
     if len(b) != n or any(not isinstance(row, list) or len(row) != n
                           for row in b):
         raise FormatError(f"{where}: B is not {n}x{n}")
-    if not all(_is_int(x) for row in b for x in row):
-        raise FormatError(f"{where}: B entries must be integers")
     try:
-        return Seed(b, frozenset(unfrozen))
+        return Seed(b, unfrozen)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
@@ -121,6 +115,9 @@ def load_seed(path) -> Seed:
 
 
 def path_from_obj(obj, where="path", base_dir: Path | None = None) -> MutationPath:
+    """The path of a JSON object, compiled at load: io checks the JSON
+    shape, the constructors and the compile check the values, and their
+    errors are re-raised naming ``where``."""
     seed_obj = _expect(obj, "seed", None, where)
     if isinstance(seed_obj, dict) and "file" in seed_obj:
         if not isinstance(seed_obj["file"], str):
@@ -135,32 +132,21 @@ def path_from_obj(obj, where="path", base_dir: Path | None = None) -> MutationPa
     for i, raw in enumerate(_expect(obj, "steps", list, where)):
         if not isinstance(raw, dict) or len(raw) != 1:
             raise FormatError(f"{where}: step {i} must be a one-key object")
-        # The unfrozen set is the same at every vertex of a path, so each
-        # step is checked against the initial seed.
-        if "flip" in raw:
-            if not _is_int(raw["flip"]):
-                raise FormatError(f"{where}: step {i} flip index must be int")
-            try:
-                seed.require_unfrozen(raw["flip"])
-            except FrozenIndexError as exc:
-                raise FrozenIndexError(f"{where}: step {i}: {exc}") from exc
-            steps.append(Flip(raw["flip"]))
-        elif "perm" in raw:
-            sigma = raw["perm"]
-            if not isinstance(sigma, list) or not all(_is_int(x) for x in sigma):
-                raise FormatError(f"{where}: step {i} perm must be a list of ints")
-            try:
-                step = Permute(tuple(sigma))
-            except ValueError as exc:
-                raise FormatError(f"{where}: step {i}: {exc}") from exc
-            try:
-                check_split(seed, step.sigma)
-            except SplitViolationError as exc:
-                raise SplitViolationError(f"{where}: step {i}: {exc}") from exc
-            steps.append(step)
-        else:
+        (key, value), = raw.items()
+        if key not in ("flip", "perm"):
             raise FormatError(f"{where}: step {i} must be 'flip' or 'perm'")
-    return MutationPath(seed, tuple(steps))
+        if key == "perm" and not isinstance(value, list):
+            raise FormatError(f"{where}: step {i} perm must be a list")
+        try:
+            steps.append(Flip(value) if key == "flip" else Permute(value))
+        except ValueError as exc:
+            raise FormatError(f"{where}: step {i} {exc}") from exc
+    path = MutationPath(seed, tuple(steps))
+    try:
+        path.compiled
+    except (FrozenIndexError, SplitViolationError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    return path
 
 
 def path_to_obj(path: MutationPath) -> dict:

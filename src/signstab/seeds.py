@@ -44,14 +44,17 @@ class Seed(FrozenRecord):
 
     def __init__(self, b: mx.Matrix, unfrozen: frozenset[int]):
         b = mx.freeze(b)
+        unfrozen = tuple(unfrozen)  # checked before hashing: [0] is unhashable
+        if any(type(x) is not int for row in b for x in row):
+            raise ValueError("exchange matrix entries must be integers")
+        if any(type(i) is not int for i in unfrozen):
+            raise ValueError("unfrozen indices must be integers")
         unfrozen = frozenset(unfrozen)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "unfrozen", unfrozen)
         n = len(b)
         if not mx.is_skew_symmetric(b):
             raise ValueError("exchange matrix must be skew-symmetric")
-        if any(not isinstance(x, int) for row in b for x in row):
-            raise ValueError("exchange matrix must be integer")
         if not all(0 <= i < n for i in unfrozen):
             raise ValueError("unfrozen indices out of range")
 
@@ -71,16 +74,14 @@ class Seed(FrozenRecord):
         order = self.unfrozen_order
         return tuple(tuple(self.b[i][j] for j in order) for i in order)
 
-    def require_unfrozen(self, k: int):
-        if k not in self.unfrozen:
-            raise FrozenIndexError(f"index {k} is frozen or out of range")
-
 
 class Flip(FrozenRecord):
     _fields = ("k",)
 
     def __init__(self, k: int):
         object.__setattr__(self, "k", k)
+        if type(k) is not int:
+            raise ValueError(f"flip index {k!r} is not an int")
 
 
 class Permute(FrozenRecord):
@@ -89,6 +90,9 @@ class Permute(FrozenRecord):
     def __init__(self, sigma: tuple[int, ...]):
         sigma = tuple(sigma)
         object.__setattr__(self, "sigma", sigma)
+        for x in sigma:
+            if type(x) is not int:
+                raise ValueError(f"perm entry {x!r} is not an int")
         if sorted(sigma) != list(range(len(sigma))):
             raise ValueError(f"not a permutation: {sigma}")
 
@@ -120,23 +124,22 @@ class MutationPath(FrozenRecord):
 def mutate_b(seed: Seed, k: int) -> Seed:
     """Matrix mutation in direction k (unfrozen): the end seed of the
     one-flip path."""
-    return MutationPath(seed, (Flip(k),)).compiled.end
-
-
-def check_split(seed: Seed, sigma: tuple[int, ...]):
-    if len(sigma) != seed.n:
-        raise SplitViolationError("permutation length differs from seed size")
-    for i in range(seed.n):
-        if (i in seed.unfrozen) != (sigma[i] in seed.unfrozen):
-            raise SplitViolationError(
-                f"permutation maps index {i} across the unfrozen/frozen split"
-            )
+    return _one_step_end(seed, Flip(k))
 
 
 def apply_perm(seed: Seed, sigma: tuple[int, ...]) -> Seed:
     """Relabeled seed, b'_{sigma(i) sigma(j)} = b_{ij}: the end seed of the
     one-relabeling path."""
-    return MutationPath(seed, (Permute(sigma),)).compiled.end
+    return _one_step_end(seed, Permute(sigma))
+
+
+def _one_step_end(seed: Seed, step: PathStep) -> Seed:
+    """The end seed of the path (step,), its compile errors without the
+    position of the only step: the caller named no path."""
+    try:
+        return CompiledPath.build(MutationPath(seed, (step,))).end
+    except (FrozenIndexError, SplitViolationError) as exc:
+        raise type(exc)(str(exc).removeprefix("step 0: ")) from None
 
 
 def seeds_along(path: MutationPath) -> list[Seed]:
@@ -180,10 +183,13 @@ class CompiledPath(FrozenRecord):
     Built once per path (see ``MutationPath.compiled``) in one pass over
     one mutable copy of the full exchange matrix B, frozen rows included:
     each flip checks its index is unfrozen, records its FlipStep and
-    updates only the rows with b_ik != 0; each relabeling checks the
-    unfrozen/frozen split, records its PermStep and relabels the rows and
-    columns.  The end seed is the one Seed built, so B is validated once.
-    ``mutate_b`` and ``apply_perm`` are the one-step case.
+    updates only the rows with b_ik != 0; each relabeling checks its
+    length and the unfrozen/frozen split, records its PermStep and
+    relabels the rows and columns.  These are the one check of a path's
+    steps against its seed: a FrozenIndexError or SplitViolationError
+    names the step's position ("step 3: ...").  The end seed is the one
+    Seed built, so B is validated once.  ``mutate_b`` and ``apply_perm``
+    are the one-step case.
     """
 
     _fields = ("n", "steps", "end")
@@ -197,19 +203,29 @@ class CompiledPath(FrozenRecord):
     @classmethod
     def build(cls, path: MutationPath) -> "CompiledPath":
         seed = path.initial
+        unfrozen = seed.unfrozen
         order = seed.unfrozen_order
         pos = {idx: p for p, idx in enumerate(order)}
         b = [list(row) for row in seed.b]
         steps = []
-        for step in path.steps:
+        for t, step in enumerate(path.steps):
             if isinstance(step, Permute):
                 sigma = step.sigma
-                check_split(seed, sigma)
+                if len(sigma) != len(b):
+                    raise SplitViolationError(
+                        f"step {t}: permutation length differs from seed size")
+                for i, s in enumerate(sigma):
+                    if (i in unfrozen) != (s in unfrozen):
+                        raise SplitViolationError(
+                            f"step {t}: permutation maps index {i} across "
+                            "the unfrozen/frozen split")
                 steps.append(PermStep(tuple(pos[sigma[i]] for i in order)))
                 b = [list(_moved(row, sigma)) for row in _moved(b, sigma)]
                 continue
             k = step.k
-            seed.require_unfrozen(k)
+            if k not in unfrozen:
+                raise FrozenIndexError(
+                    f"step {t}: index {k} is frozen or out of range")
             column = [(p, b[i][k]) for p, i in enumerate(order) if i != k]
             plus = tuple((p, x) for p, x in column if x > 0)
             minus = tuple((p, -x) for p, x in column if x < 0)

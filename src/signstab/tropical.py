@@ -39,14 +39,9 @@ _CHAR_TO_SIGN = {"+": 1, "0": 0, "-": -1}
 
 
 def sign_str(eps: SignSeq) -> str:
-    """eps as text, one of "+", "0" and "-" per entry, by one table lookup
-    per entry: an entry equal to none of -1, 0 and 1 is
-    :func:`check_sign_entries`'s ValueError."""
-    try:
-        return "".join([_SIGN_TO_CHAR[e] for e in eps])
-    except (KeyError, TypeError):
-        check_sign_entries(eps)
-        raise
+    """eps as text, one of "+", "0" and "-" per entry, rendered by
+    :func:`check_sign_entries` in its one pass over the entries."""
+    return "".join(check_sign_entries(eps))
 
 
 def parse_sign_str(text: str) -> SignSeq:
@@ -98,13 +93,17 @@ def check_sign(path: MutationPath, eps: SignSeq) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(eps) if e == 0)
 
 
-def check_sign_entries(eps: SignSeq) -> None:
-    """Each entry of eps is the int -1, 0 or 1, else a ValueError naming
-    it and its flip position: the one entry check of every sign helper."""
-    for i, e in enumerate(eps):
-        if type(e) is not int or e not in (1, 0, -1):
-            raise ValueError(
-                f"sign entry {e!r} at flip position {i} is not -1, 0 or 1")
+def check_sign_entries(eps: SignSeq) -> list[str]:
+    """The character ("+", "0" or "-") of each entry of eps, in one pass,
+    when each is the int 1, 0 or -1, else a ValueError naming the first
+    other entry and its flip position: the one entry check of every sign
+    helper, and :func:`sign_str`'s renderer."""
+    chars = [_SIGN_TO_CHAR.get(e) if type(e) is int else None for e in eps]
+    if None in chars:
+        i = chars.index(None)
+        raise ValueError(
+            f"sign entry {eps[i]!r} at flip position {i} is not -1, 0 or 1")
+    return chars
 
 
 # -- integer points ---------------------------------------------------------------

@@ -196,6 +196,22 @@ def test_charpoly_command(capsys):
     assert abs(doc["result"]["spectral_radius"] - 2.6180339887) < 1e-9
 
 
+def test_charpoly_matrix_entries_read_by_value(capsys):
+    """char_poly's entry check is the one integer check of --matrix: an
+    entry whose value is an integer reads as that integer, in the result
+    and in the report's inputs."""
+    _, plain, _ = run(capsys, "--json-only", "charpoly",
+                      "--matrix", "[[3,1],[1,0]]")
+    code, out, _ = run(capsys, "--json-only", "charpoly",
+                       "--matrix", '[["3+0*sqrt(5)",1],["2/2",0]]')
+    assert code == 0 and out == plain
+    code, out, _ = run(capsys, "--json-only", "charpoly",
+                       "--matrix", '[["1/2",1],[1,0]]')
+    assert code == 1
+    assert json.loads(out)["message"] == \
+        "char_poly: matrix entry Fraction(1, 2) is not an integer"
+
+
 def test_empty_sign_is_a_sign(capsys):
     """--sign "" is the sign of a path with no flips, not an absent flag."""
     code, out, _ = run(capsys, "--json-only", "presentation",

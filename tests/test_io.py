@@ -2,12 +2,13 @@ import gc
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from oracles import scalar_json as oracle_json
-from signstab import (FormatError, MagnitudeError, QuadExt,
+from signstab import (FormatError, FrozenIndexError, MagnitudeError, QuadExt,
                       SplitViolationError, format_scalar)
 from signstab import io as sio
 
@@ -33,7 +34,9 @@ def test_seed_validation(tmp_path):
         sio.load_seed(f)
     for bad in ({"n": 2, "unfrozen": [True, 0], "B": [[0, 1], [-1, 0]]},
                 {"n": 2, "unfrozen": ["a"], "B": [[0, 1], [-1, 0]]},
-                {"n": True, "unfrozen": [0], "B": [[0]]}):
+                {"n": True, "unfrozen": [0], "B": [[0]]},
+                {"n": 2, "unfrozen": [[0]], "B": [[0, 1], [-1, 0]]},
+                {"n": 2, "unfrozen": [0], "B": [[0, True], [-1, 0]]}):
         with pytest.raises(FormatError, match="must be integers"):
             sio.seed_from_obj(bad)
 
@@ -139,6 +142,32 @@ def test_bool_perm_entries_rejected():
         sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": [True, 0]}]})
     with pytest.raises(FormatError, match="step 0 perm"):
         sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": [1.0, 0]}]})
+
+
+def test_step_values_checked_by_their_constructors():
+    # io checks only the JSON shape; Flip and Permute check their values
+    for bad in (1.0, "0", [0], None):
+        with pytest.raises(FormatError, match="^path: step 0 flip index"):
+            sio.path_from_obj({"seed": A2_SEED, "steps": [{"flip": bad}]})
+    for bad in ("10", 1, None, {"0": 1}):
+        with pytest.raises(FormatError, match="^path: step 0 perm must be a list"):
+            sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": bad}]})
+    with pytest.raises(FormatError, match="^path: step 0 perm entry '0'"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": ["0", 1]}]})
+    with pytest.raises(FormatError, match="^path: step 1 not a permutation"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"flip": 0}, {"perm": [0, 0]}]})
+
+
+def test_load_path_compiles_once(tmp_path):
+    """The compile checks the steps at load and is kept for the commands."""
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"seed": A2_SEED, "steps": [{"flip": 0}, {"flip": 5}]}))
+    with pytest.raises(FrozenIndexError,
+                       match=f"^{re.escape(str(f))}: step 1: index 5 is frozen"):
+        sio.load_path(f)
+    f.write_text(json.dumps({"seed": A2_SEED, "steps": [{"flip": 0}, {"flip": 1}]}))
+    path = sio.load_path(f)
+    assert "compiled" in vars(path) and path.compiled.end.b == ((0, 1), (-1, 0))
 
 
 def test_perm_checked_against_seed_on_load():

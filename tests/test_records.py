@@ -133,6 +133,23 @@ def test_constructors_reject_bad_input():
         Triangulation(["a", "b"], {"b"}, [["a", "a", "b"]])
     with pytest.raises(ValueError, match="unknown edge"):
         TrainTrack(["x"], [("x", ("y", "z"))], set())
+    # an index or entry that is not an int: a bool is an int equal to 0 or
+    # 1, and a float or str would fail later with a bare TypeError
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="flip index"):
+            Flip(bad)
+        with pytest.raises(ValueError, match="perm entry"):
+            Permute((bad, 0))
+        with pytest.raises(ValueError, match="unfrozen indices must be integers"):
+            Seed(A2, {0, bad})
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Seed([[0, bad], [-1, 0]], {0, 1})
+    with pytest.raises(ValueError, match="entries must be integers"):
+        Seed([[0, "a"], ["b", 0]], {0, 1})
+    with pytest.raises(ValueError, match="unfrozen indices must be integers"):
+        Seed(A2, {"0"})
+    with pytest.raises(ValueError, match="unfrozen indices must be integers"):
+        Seed(A2, [[0], 1])
 
 
 def test_constructors_coerce_their_fields():

@@ -71,6 +71,23 @@ def test_mutate_frozen_rejected():
         mutate_b(s, 5)
 
 
+def test_compile_names_the_failing_step():
+    # the compile is the one check of a path's steps against its seed
+    with pytest.raises(FrozenIndexError, match="^step 1: index 5 is frozen"):
+        MutationPath(A2, (Flip(0), Flip(5))).compiled
+    frozen = Seed([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], {0, 1})
+    with pytest.raises(SplitViolationError, match="^step 2: permutation length"):
+        MutationPath(frozen, (Flip(0), Flip(1), Permute((1, 0)))).compiled
+    with pytest.raises(SplitViolationError,
+                       match="^step 1: permutation maps index 0 across"):
+        MutationPath(frozen, (Flip(1), Permute((2, 1, 0)))).compiled
+    # the one-step functions name no position: their caller gave no path
+    with pytest.raises(FrozenIndexError, match="^index 2 is frozen"):
+        mutate_b(frozen, 2)
+    with pytest.raises(SplitViolationError, match="^permutation maps index 0"):
+        apply_perm(frozen, (2, 1, 0))
+
+
 def test_apply_perm_examples():
     assert apply_perm(A2, (0, 1)).b == A2.b
     assert apply_perm(A2, (1, 0)).b == ((0, -1), (1, 0))
