@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
@@ -70,11 +69,8 @@ def _inline_or_file(text: str, flag: str):
     if not text:  # Path("") is the current directory
         raise FormatError(f"{flag}: empty value, need inline JSON or a file")
     if text.startswith("[") or text.startswith("{"):
-        try:
-            return json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an over-long int
-            raise FormatError(f"inline JSON is not valid: {exc}") from exc
-    return sio._load_json(Path(text))
+        return sio.decode_json(text, f"inline {flag}")
+    return sio.load_json(Path(text))
 
 
 def _point_arg(text: str, flag: str = "--point"):

@@ -25,14 +25,26 @@ from .seeds import Flip, MutationPath, Permute, Seed, Triangulation
 SCHEMA_VERSION = 1
 
 
-def _load_json(path: str | Path) -> Any:
+def decode_json(text: str, where: str) -> Any:
+    """The value of JSON text, the one JSON decode of every input: text
+    that is not JSON, an over-long int and nesting past the recursion
+    limit are each a FormatError naming where the text came from."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where} is not valid JSON: {exc}") from exc
+
+
+def load_json(path: str | Path) -> Any:
+    """The JSON value of a UTF-8 file (``decode_json``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an over-long int
+    except ValueError as exc:  # bytes that are not UTF-8
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    return decode_json(text, str(path))
 
 
 def _expect(obj, key, kind, where):
@@ -44,14 +56,21 @@ def _expect(obj, key, kind, where):
     return val
 
 
+_JSON_TYPES = {bool: "boolean", list: "list", dict: "object",
+               type(None): "null"}
+
+
 def parse_coord(value) -> Scalar:
-    if isinstance(value, bool):
-        raise FormatError(f"bad scalar {value!r}")
-    if isinstance(value, int):
+    """The exact scalar of a JSON int or string; any other JSON value is a
+    FormatError that names its JSON type and does not echo it."""
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    raise FormatError(f"bad scalar {value!r} (floats are not exact)")
+    if type(value) is float:
+        raise FormatError(f"bad scalar {value!r} (floats are not exact)")
+    kind = _JSON_TYPES.get(type(value), type(value).__name__)
+    raise FormatError(f"bad scalar: a JSON {kind}, not an integer or a string")
 
 
 def scalar_json(a: int, b: int, den: int, d: int):
@@ -108,7 +127,7 @@ def seed_to_obj(seed: Seed) -> dict:
 
 
 def load_seed(path) -> Seed:
-    return seed_from_obj(_load_json(path), where=str(path))
+    return seed_from_obj(load_json(path), where=str(path))
 
 
 # -- paths ---------------------------------------------------------------------
@@ -161,7 +180,7 @@ def path_to_obj(path: MutationPath) -> dict:
 
 def load_path(path) -> MutationPath:
     p = Path(path)
-    return path_from_obj(_load_json(p), where=str(p), base_dir=p.parent)
+    return path_from_obj(load_json(p), where=str(p), base_dir=p.parent)
 
 
 # -- points and cones ------------------------------------------------------------
@@ -206,7 +225,7 @@ def cone_to_obj(cone: Cone) -> dict:
 
 
 def load_cone(path) -> Cone:
-    return cone_from_obj(_load_json(path), where=str(path))
+    return cone_from_obj(load_json(path), where=str(path))
 
 
 # -- triangulations and tracks ----------------------------------------------------
@@ -227,7 +246,7 @@ def triangulation_from_obj(obj, where="triangulation") -> Triangulation:
 
 
 def load_triangulation(path) -> Triangulation:
-    return triangulation_from_obj(_load_json(path), where=str(path))
+    return triangulation_from_obj(load_json(path), where=str(path))
 
 
 def track_from_obj(obj, where="track") -> TrainTrack:
@@ -253,7 +272,7 @@ def track_from_obj(obj, where="track") -> TrainTrack:
 
 
 def load_track(path) -> TrainTrack:
-    return track_from_obj(_load_json(path), where=str(path))
+    return track_from_obj(load_json(path), where=str(path))
 
 
 def measure_from_obj(obj, where="measure") -> dict[str, Fraction]:

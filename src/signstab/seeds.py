@@ -104,8 +104,13 @@ class MutationPath(FrozenRecord):
     _fields = ("initial", "steps")
 
     def __init__(self, initial: Seed, steps: tuple[PathStep, ...] = ()):
+        steps = tuple(steps)
         object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "steps", steps)
+        for t, step in enumerate(steps):
+            if not isinstance(step, (Flip, Permute)):
+                raise ValueError(f"step {t} is {type(step).__name__}, "
+                                 "not a Flip or a Permute")
 
     @property
     def h(self) -> int:
@@ -124,20 +129,27 @@ class MutationPath(FrozenRecord):
 def mutate_b(seed: Seed, k: int) -> Seed:
     """Matrix mutation in direction k (unfrozen): the end seed of the
     one-flip path."""
-    return _one_step_end(seed, Flip(k))
+    return one_step(seed, Flip(k), _end_seed)
 
 
 def apply_perm(seed: Seed, sigma: tuple[int, ...]) -> Seed:
     """Relabeled seed, b'_{sigma(i) sigma(j)} = b_{ij}: the end seed of the
     one-relabeling path."""
-    return _one_step_end(seed, Permute(sigma))
+    return one_step(seed, Permute(sigma), _end_seed)
 
 
-def _one_step_end(seed: Seed, step: PathStep) -> Seed:
-    """The end seed of the path (step,), its compile errors without the
-    position of the only step: the caller named no path."""
+def _end_seed(path: MutationPath) -> Seed:
+    return path.compiled.end
+
+
+def one_step(seed: Seed, step: PathStep, run):
+    """run(path) on the one-step path (step,) from seed: the one way that
+    ``mutate_b``, ``apply_perm``, ``trop_mutate`` and ``edge_matrix`` take
+    their step.  run checks its own arguments before it compiles the path,
+    and a compile error loses the "step 0: " of its position, since the
+    caller named no path."""
     try:
-        return CompiledPath.build(MutationPath(seed, (step,))).end
+        return run(MutationPath(seed, (step,)))
     except (FrozenIndexError, SplitViolationError) as exc:
         raise type(exc)(str(exc).removeprefix("step 0: ")) from None
 

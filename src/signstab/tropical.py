@@ -16,7 +16,8 @@ into exact scalars (``QuadExt``s for a point over Q(sqrt(d)),
 to a report: ``normalize_ints`` gives it as integers (A, B, D), and
 ``io.row_json`` renders those.  The one-step functions are the one-flip case:
 ``trop_mutate`` is ``transport`` and ``edge_matrix`` is
-``presentation_matrix_for_sign`` on the path ``(Flip(k),)``.
+``presentation_matrix_for_sign`` on the path ``(Flip(k),)``, both run by
+``seeds.one_step``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import matrices as mx
 from .errors import (DimensionMismatchError, FormatError, NonStrictSignError,
                      RadicandMismatchError)
 from .scalars import QuadExt, Scalar, quad_sign
-from .seeds import Flip, MutationPath, Seed
+from .seeds import Flip, MutationPath, Seed, one_step
 
 TropPoint = tuple[Scalar, ...]
 SignSeq = tuple[int, ...]
@@ -202,7 +203,7 @@ def trop_mutate(seed: Seed, k: int, w: Sequence[Scalar]) -> TropPoint:
 
     x'_k = -x_k and x'_i = x_i + [sgn(x_k) * b_ik]_+ * x_k for i != k.
     """
-    return transport(MutationPath(seed, (Flip(k),)), w)[0]
+    return one_step(seed, Flip(k), lambda path: transport(path, w)[0])
 
 
 def transport(path: MutationPath, w: Sequence[Scalar]):
@@ -225,7 +226,8 @@ def sign_of_path(path: MutationPath, w: Sequence[Scalar]) -> SignSeq:
 def edge_matrix(seed: Seed, k: int, eps: int) -> mx.Matrix:
     """Linear branch of the tropical transformation on the half-space
     sgn(x_k) = eps: E_kk = -1, E_ik = [eps*b_ik]_+, identity elsewhere."""
-    return presentation_matrix_for_sign(MutationPath(seed, (Flip(k),)), (eps,))
+    return one_step(seed, Flip(k),
+                    lambda path: presentation_matrix_for_sign(path, (eps,)))
 
 
 def presentation_matrix_for_sign(path: MutationPath, eps: SignSeq) -> mx.Matrix:

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from signstab import Flip, MutationPath, Permute, Seed
 from signstab import io as sio
 from signstab.cli import main
 
@@ -60,3 +62,38 @@ def sphere_enumeration():
         code = main(["--json-only", "signs-enumerate",
                      "--path", str(DATA / "sphere3b_path.json")])
     return code, out.getvalue(), time.time() - start
+
+
+def _random_block_case(rng):
+    """Seed with unfrozen J | K and a J-only loop (palindrome or shortest)."""
+    if rng.random() < 0.3:
+        ell = rng.randint(2, 4)
+        ck = rng.randint(1, 4)
+        b = [
+            [0, -ell, 0, 0],
+            [ell, 0, 0, 0],
+            [0, 0, 0, -ck],
+            [0, 0, ck, 0],
+        ]
+        seed = Seed(b, frozenset(range(4)))
+        path = MutationPath(seed, (Flip(0), Permute((1, 0, 2, 3))))
+        return path, (2, 3)
+    n = rng.randint(3, 5)
+    j_count = rng.randint(2, n - 1)
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = rng.randint(-2, 2)
+            b[j][i] = -b[i][j]
+    seed = Seed(b, frozenset(range(n)))
+    flips = [rng.randrange(j_count) for _ in range(rng.randint(1, 3))]
+    steps = tuple(Flip(k) for k in flips + flips[::-1])
+    return MutationPath(seed, steps), tuple(range(j_count, n))
+
+
+@pytest.fixture(scope="session")
+def block_cases():
+    """Criterion 12's 100 random frozen-block loops, drawn from Random(31),
+    as (path, frozen_out) pairs: a test that adds cases copies the list."""
+    rng = random.Random(31)
+    return [_random_block_case(rng) for _ in range(100)]

@@ -70,6 +70,75 @@ def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+def moved(v, perm):
+    """v relabeled: entry p moves to position perm[p]."""
+    out = [None] * len(v)
+    for p, q in enumerate(perm):
+        out[q] = v[p]
+    return tuple(out)
+
+
+class PathWalk:
+    """One walk along a path given as plain data, the form
+    ``framed_c_matrix`` takes: b is the full exchange matrix, unfrozen its
+    unfrozen indices, and in steps an int k is a flip at k and a tuple
+    sigma relabels the indices of B.  B moves by ``mutated`` and
+    ``relabeled``; ``bs`` holds it at every vertex.  Each step is kept as a
+    move on the unfrozen positions (the unfrozen indices in increasing
+    order): (kp, column) at a flip, with kp the position of k and column
+    the entries b_ik over the unfrozen i, and (None, perm) at a
+    relabeling, with perm[p] the new position of position p.  Points, sign
+    cones and presentation matrices walk on these moves."""
+
+    def __init__(self, b, unfrozen, steps):
+        order = sorted(unfrozen)
+        pos = {idx: p for p, idx in enumerate(order)}
+        self.n = len(order)
+        self.bs = [tuple(map(tuple, b))]
+        self.moves = []
+        for step in steps:
+            if isinstance(step, int):
+                self.moves.append((pos[step], [b[i][step] for i in order]))
+                b = mutated(b, step)
+            else:
+                self.moves.append((None, [pos[step[idx]] for idx in order]))
+                b = relabeled(b, step)
+            self.bs.append(tuple(map(tuple, b)))
+
+    def points(self, w):
+        """(signs, the point before each step, the end point) of the point
+        w: at each flip the sign of x_k, decided by comparison, and
+        ``trop_step``."""
+        signs, before = [], []
+        for kp, col in self.moves:
+            before.append(w)
+            if kp is None:
+                w = moved(w, col)
+            else:
+                signs.append((w[kp] > 0) - (w[kp] < 0))
+                w = trop_step(col, kp, w)
+        return tuple(signs), before, w
+
+    def branch(self, eps):
+        """(cone rows, matrix) of the linear branch of a sign sequence or
+        prefix eps, with the edge and permutation matrices multiplied out.
+        Row nu is eps_nu times row k_nu of the product before flip nu; the
+        matrix is the product up to the first flip past eps, so E^eps for
+        a whole sign sequence."""
+        m = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        rows = []
+        for kp, col in self.moves:
+            if kp is None:
+                m = mat_mul(perm_matrix(col), m)
+            elif len(rows) == len(eps):
+                break
+            else:
+                e = eps[len(rows)]
+                rows.append(tuple(e * x for x in m[kp]))
+                m = mat_mul(edge_matrix(col, kp, e), m)
+        return rows, tuple(map(tuple, m))
+
+
 def framed_c_matrix(b, unfrozen, steps):
     """C-matrix of a path by matrix mutation of the framed matrix
     [[B, -F^T], [F, 0]], where F puts a 1 in frame row p at the p-th
@@ -93,7 +162,7 @@ def framed_c_matrix(b, unfrozen, steps):
                  for p in range(len(order)))
 
 
-def _unique_solution(a, b):
+def unique_solution(a, b):
     """The unique solution of a z = b (Fraction elimination), or None when
     the system is inconsistent or underdetermined."""
     m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(a, b)]
@@ -122,7 +191,7 @@ def gordan_empty(rows, dim):
     for size in range(1, min(len(rows), dim + 1) + 1):
         for subset in combinations(rows, size):
             a = [[r[k] for r in subset] for k in range(dim)] + [[1] * size]
-            lam = _unique_solution(a, [0] * dim + [1])
+            lam = unique_solution(a, [0] * dim + [1])
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False
@@ -132,7 +201,7 @@ def inverse(m):
     """The exact inverse of a square matrix, one column per unit vector;
     ZeroDivisionError when m is singular."""
     n = len(m)
-    cols = [_unique_solution(m, [int(i == j) for i in range(n)])
+    cols = [unique_solution(m, [int(i == j) for i in range(n)])
             for j in range(n)]
     if None in cols:
         raise ZeroDivisionError("singular matrix")
@@ -204,12 +273,17 @@ def poly_with_top_modulus(factors):
                 factor, modulus = (c, 0, 1), Decimal(c).sqrt()
             else:
                 raise ValueError(f"unknown factor kind {kind!r}")
-            out = [0] * (len(coeffs) + len(factor) - 1)
-            for i, x in enumerate(coeffs):
-                for j, y in enumerate(factor):
-                    out[i + j] += x * y
-            coeffs, top = tuple(out), max(top, modulus)
+            coeffs, top = poly_mul(coeffs, factor), max(top, modulus)
     return coeffs, top
+
+
+def poly_mul(p, q):
+    """The product of two polynomials as ascending coefficient tuples."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def scalar_json(a, b, d):

@@ -12,7 +12,8 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from oracles import edge_matrix, inverse, mat_mul, mutated, trop_step
+from oracles import inverse, unique_solution
+from samples import A2, reference_walk
 
 from signstab import (
     Flip,
@@ -61,7 +62,6 @@ def ok(criterion, text):
     print(f"ACCEPTANCE {criterion:>2} PASS  {text}")
 
 
-A2 = Seed([[0, 1], [-1, 0]], {0, 1})
 A2_PATH = MutationPath(A2, (Flip(0), Flip(1), Flip(0)))
 
 
@@ -332,38 +332,9 @@ def test_criterion_11_annulus_cutting(annulus_seed, annulus_cone):
 # -- criterion 12: cluster-reduction block form ------------------------------------
 
 
-def _random_block_case(rng):
-    """Seed with unfrozen J | K and a J-only loop (palindrome or shortest)."""
-    if rng.random() < 0.3:
-        ell = rng.randint(2, 4)
-        ck = rng.randint(1, 4)
-        b = [
-            [0, -ell, 0, 0],
-            [ell, 0, 0, 0],
-            [0, 0, 0, -ck],
-            [0, 0, ck, 0],
-        ]
-        seed = Seed(b, frozenset(range(4)))
-        path = MutationPath(seed, (Flip(0), Permute((1, 0, 2, 3))))
-        return path, (2, 3)
-    n = rng.randint(3, 5)
-    j_count = rng.randint(2, n - 1)
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b[i][j] = rng.randint(-2, 2)
-            b[j][i] = -b[i][j]
-    seed = Seed(b, frozenset(range(n)))
-    flips = [rng.randrange(j_count) for _ in range(rng.randint(1, 3))]
-    steps = tuple(Flip(k) for k in flips + flips[::-1])
-    return MutationPath(seed, steps), tuple(range(j_count, n))
-
-
-def test_criterion_12_block_structure():
-    rng = random.Random(31)
+def test_criterion_12_block_structure(block_cases):
     digest = hashlib.sha256()
-    for _ in range(100):
-        path, frozen_out = _random_block_case(rng)
+    for path, frozen_out in block_cases:
         report = block_structure_check(path, frozen_out, tolerance=1e-9)
         assert report.zero_block_exact
         assert report.max_radius_diff == 0.0
@@ -378,79 +349,25 @@ def test_criterion_12_block_structure():
            "rho(E) = rho(E|_J) exactly for every realizable sign")
 
 
-def test_criterion_12_reports_are_the_same_from_a_warm_cache():
+def test_criterion_12_reports_are_the_same_from_a_warm_cache(block_cases):
     from signstab.stability import root_radius
 
-    rng = random.Random(31)
-    cases = [_random_block_case(rng) for _ in range(100)]
     cold = []
-    for path, frozen_out in cases:
+    for path, frozen_out in block_cases:
         char_poly.cache_clear()
         root_radius.cache_clear()
         cold.append(block_structure_check(path, frozen_out, tolerance=1e-9))
-    for path, frozen_out in cases:  # fills the caches
+    for path, frozen_out in block_cases:  # fills the caches
         block_structure_check(path, frozen_out, tolerance=1e-9)
     misses = char_poly.cache_info().misses, root_radius.cache_info().misses
     warm = [block_structure_check(path, frozen_out, tolerance=1e-9)
-            for path, frozen_out in cases]
+            for path, frozen_out in block_cases]
     # the second pass computes nothing new: every radius comes from a cache
     assert (char_poly.cache_info().misses, root_radius.cache_info().misses) == misses
     assert warm == cold
 
 
 # -- criterion 13: small-instance enumeration oracle -------------------------------
-
-
-def _flip_columns(path):
-    """Before each flip: the flip's position among the unfrozen indices and
-    the column b_ik over the unfrozen i, by mutating B in the test."""
-    order = sorted(path.initial.unfrozen)
-    b = [list(row) for row in path.initial.b]
-    cols = []
-    for step in path.steps:
-        assert isinstance(step, Flip)
-        cols.append((order.index(step.k), [b[i][step.k] for i in order]))
-        b = mutated(b, step.k)
-    return cols
-
-
-def _oracle_signs(cols, pt):
-    """Sign sequence of an integer point by the tropical step formula
-    x'_k = -x_k, x'_i = x_i + [s*b_ik]_+ x_k with s = sgn(x_k)."""
-    x = tuple(pt)
-    signs = []
-    for kp, col in cols:
-        signs.append((x[kp] > 0) - (x[kp] < 0))
-        x = trop_step(col, kp, x)
-    return tuple(signs)
-
-
-def _branch_rows(cols, eps, n):
-    """Rows eps_nu * (row k_nu of E_{nu-1} ... E_1), one per flip, with the
-    edge matrices E (E_kk = -1, E_ik = [eps*b_ik]_+) multiplied out."""
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = []
-    for (kp, col), e in zip(cols, eps):
-        rows.append(tuple(e * x for x in m[kp]))
-        m = mat_mul(edge_matrix(col, kp, e), m)
-    return rows
-
-
-def _solve_square(rows, rhs):
-    n = len(rows)
-    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def _oracle_enumerate(path, grid_range=3):
@@ -460,29 +377,29 @@ def _oracle_enumerate(path, grid_range=3):
     from definitional sign evaluation, never from the production
     feasibility machinery."""
     n = path.initial.n_uf
-    cols = _flip_columns(path)
+    walk = reference_walk(path)
     found = set()
     for pt in itertools.product(range(-grid_range, grid_range + 1), repeat=n):
         if any(pt):
-            s = _oracle_signs(cols, pt)
+            s = walk.points(pt)[0]
             if 0 not in s:
                 found.add(s)
     for eps in itertools.product((1, -1), repeat=path.h):
         if eps in found:
             continue
-        rows = _branch_rows(cols, eps, n)
+        rows = walk.branch(eps)[0]
         pool = [(row, 1) for row in rows]
         for j in range(n):
             axis = tuple(int(i == j) for i in range(n))
             for c in (-1, 0, 1):
                 pool.append((axis, c))
         for combo in itertools.combinations(pool, n):
-            x = _solve_square([r for r, _ in combo], [c for _, c in combo])
+            x = unique_solution([r for r, _ in combo], [c for _, c in combo])
             if x is None or not any(x):
                 continue
             den = lcm(*(v.denominator for v in x))
             pt = [int(v * den) for v in x]
-            if _oracle_signs(cols, pt) == eps:
+            if walk.points(pt)[0] == eps:
                 found.add(eps)
                 break
     return found

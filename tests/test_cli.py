@@ -413,6 +413,32 @@ def test_empty_inline_value_is_an_error_naming_its_flag(capsys, tmp_path, argv):
     assert doc["message"].startswith(argv[-2] + ": empty value")
 
 
+def test_json_nested_past_the_recursion_limit_is_a_format_error(tmp_path):
+    """JSON nested deeper than the decoder's recursion limit, in a path
+    file or inline, is a FormatError report with exit 1, not a traceback."""
+    deep_path = tmp_path / "deep_path.json"
+    deep_path.write_text('{"seed": {"n": 2, "B": [[0, 1], [-1, 0]], '
+                         '"unfrozen": [0, 1]}, "steps": '
+                         + "[" * 3000 + "]" * 3000 + "}")
+    inline = "[" * 1000 + "]" * 1000
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    for argv, where in (
+            (["sign", "--path", str(deep_path), "--point", "[1,1]"],
+             str(deep_path)),
+            (["charpoly", "--matrix", inline], "inline --matrix"),
+            (["sign", "--path", f"{DATA}/a2_path.json", "--point", inline],
+             "inline --point")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "signstab", "--json-only", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "FormatError"
+        assert doc["message"].startswith(f"{where} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
                   "--candidate", "sqrt(2)"], id="stretch-candidate"),

@@ -52,6 +52,20 @@ def test_point_parsing():
         sio.point_from_obj([True])
 
 
+@pytest.mark.parametrize("value,kind", [
+    ([1], "list"), ({"a": 1}, "object"), (None, "null"), (True, "boolean"),
+])
+def test_a_bad_scalar_is_named_by_its_json_type(value, kind):
+    """Only a float is blamed on floats, and the value is not echoed."""
+    message = f"^bad scalar: a JSON {kind}, not an integer or a string$"
+    with pytest.raises(FormatError, match=message):
+        sio.parse_coord(value)
+    with pytest.raises(FormatError, match=message):
+        sio.matrix_from_obj([[value, 1], [1, 0]])
+    with pytest.raises(FormatError, match=r"^bad scalar 1\.5 \(floats are not exact\)$"):
+        sio.parse_coord(1.5)
+
+
 def test_point_roundtrip():
     w = sio.point_from_obj({"coords": ["-1/3", "2", "sqrt(5)"]})
     again = sio.point_from_obj(sio.point_to_obj(w))

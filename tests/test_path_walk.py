@@ -1,14 +1,15 @@
-"""Whole-path functions against a step-by-step walk built in this file.
+"""Whole-path functions against the step-by-step reference walk of
+``oracles``.
 
 The reference walk calls no signstab step function: it mutates and
-relabels B, steps points and multiplies edge matrices with the formulas
-in ``oracles``, and relabels coordinates here.  The seeds are random,
-with frozen indices and split-preserving Permute steps, and the points
-are rational or lie in Q(sqrt 5).  Points are compared coordinate by
-coordinate with their types: every coordinate walked or normalized from
-a point with a QuadExt coordinate is a QuadExt, and every one from a
-rational point a Fraction, so the reference walk promotes a Q(sqrt 5)
-point to QuadExts before its first step.
+relabels B, steps and relabels points and multiplies edge and
+permutation matrices with the formulas in ``oracles``.  The seeds are
+random, with frozen indices and split-preserving Permute steps, and the
+points are rational or lie in Q(sqrt 5).  Points are compared coordinate
+by coordinate with their types: every coordinate walked or normalized
+from a point with a QuadExt coordinate is a QuadExt, and every one from
+a rational point a Fraction, so a Q(sqrt 5) point is promoted to
+QuadExts before the reference walk takes it.
 """
 
 import itertools
@@ -16,14 +17,7 @@ import json
 import random
 from fractions import Fraction
 
-from oracles import (
-    edge_matrix,
-    mat_mul,
-    mutated,
-    perm_matrix,
-    relabeled,
-    trop_step,
-)
+from samples import reference_walk
 
 from signstab import io as sio
 from signstab import (
@@ -98,65 +92,12 @@ def _promoted(w):
     return tuple(x if isinstance(x, QuadExt) else QuadExt(x, 0, d) for x in w)
 
 
-def _position_perm(order, sigma):
-    """The relabeling sigma on positions among the unfrozen indices."""
-    return [order.index(sigma[idx]) for idx in order]
-
-
-def _reference_walk(path, w):
-    """(signs, points before each step, end point, flip positions)."""
-    b = path.initial.b
-    order = sorted(path.initial.unfrozen)
-    w = _promoted(w)
-    signs, before, flips = [], [], []
-    for step in path.steps:
-        before.append(w)
-        if isinstance(step, Flip):
-            kp = order.index(step.k)
-            flips.append((len(before) - 1, kp))
-            signs.append(scalar_sign(w[kp]))
-            w = trop_step([b[i][step.k] for i in order], kp, w)
-            b = mutated(b, step.k)
-        else:
-            out = [None] * len(w)
-            for p, img in enumerate(_position_perm(order, step.sigma)):
-                out[img] = w[p]
-            w = tuple(out)
-            b = relabeled(b, step.sigma)
-    return tuple(signs), before, w, flips
-
-
-def _reference_bs(path):
-    """B at every vertex of the path, folded with the oracle formulas."""
-    bs = [path.initial.b]
-    for step in path.steps:
-        bs.append(mutated(bs[-1], step.k) if isinstance(step, Flip)
-                  else relabeled(bs[-1], step.sigma))
-    return [tuple(map(tuple, b)) for b in bs]
-
-
-def _reference_presentation(path, eps):
-    """(E^eps, the end matrix B)."""
-    b = path.initial.b
-    order = sorted(path.initial.unfrozen)
-    m = [[int(i == j) for j in order] for i in order]
-    signs = iter(eps)
-    for step in path.steps:
-        if isinstance(step, Flip):
-            col = [b[i][step.k] for i in order]
-            m = mat_mul(edge_matrix(col, order.index(step.k), next(signs)), m)
-            b = mutated(b, step.k)
-        else:
-            m = mat_mul(perm_matrix(_position_perm(order, step.sigma)), m)
-            b = relabeled(b, step.sigma)
-    return tuple(tuple(row) for row in m), tuple(map(tuple, b))
-
-
 def test_whole_path_functions_match_step_by_step_walk():
     rng = random.Random(2024)
     frozen_cases = perm_cases = compatible = 0
     for case in range(CASES):
         path = _random_path(rng)
+        walk = reference_walk(path)
         n = path.initial.n_uf
         frozen_cases += n < path.initial.n
         perm_cases += any(isinstance(s, Permute) for s in path.steps)
@@ -164,10 +105,10 @@ def test_whole_path_functions_match_step_by_step_walk():
                   for _ in range(3)]
         # a point on walls: zero coordinates give zero signs
         points.append(tuple(Fraction(rng.choice((0, 0, 1, -2))) for _ in range(n)))
-        walks = []
+        befores = []
         for w in points:
-            signs, before, end, flips = _reference_walk(path, w)
-            walks.append((before, flips))
+            signs, before, end = walk.points(_promoted(w))
+            befores.append(before)
             assert sign_of_path(path, w) == signs, case
             got_end, got_before = transport(path, w)
             assert _typed(got_end) == _typed(end), case
@@ -179,17 +120,17 @@ def test_whole_path_functions_match_step_by_step_walk():
                              for row in m) == end, case
         sign_set = list(itertools.product((1, -1), repeat=path.h))
         for eps in rng.sample(sign_set, min(4, len(sign_set))):
-            want, end_b = _reference_presentation(path, eps)
+            want = walk.branch(eps)[1]
             assert presentation_matrix_for_sign(path, eps) == want, case
-        assert is_loop(path) == (end_b == path.initial.b)
-        bs = _reference_bs(path)
-        assert [s.b for s in seeds_along(path)] == bs, case
-        assert path.compiled.end.b == bs[-1], case
-        flips = walks[0][1]
+        assert is_loop(path) == (walk.bs[-1] == path.initial.b)
+        assert [s.b for s in seeds_along(path)] == walk.bs, case
+        assert path.compiled.end.b == walk.bs[-1], case
+        flips = [(t, kp) for t, (kp, _) in enumerate(walk.moves)
+                 if kp is not None]
         # the four points as one cone, and the wall point alone
-        for gens, gen_walks in ((points, walks), (points[-1:], walks[-1:])):
+        for gens, gen_befores in ((points, befores), (points[-1:], befores[-1:])):
             cone = Cone(tuple(gens))
-            want = [[before[i][kp] for before, _ in gen_walks] for i, kp in flips]
+            want = [[before[t][kp] for before in gen_befores] for t, kp in flips]
             got = generator_coordinate_trace(path, cone)
             assert list(map(_typed, got)) == list(map(_typed, want)), case
             signs = [[scalar_sign(x) for x in row] for row in want]
@@ -214,9 +155,10 @@ def _normalized(w):
 
 
 def _reference_orbit(path, w, laps):
+    walk = reference_walk(path)
     rows = []
     for _ in range(laps):
-        signs, _, w, _ = _reference_walk(path, w)
+        signs, _, w = walk.points(_promoted(w))
         w = _normalized(w)
         rows.append((signs, _typed(w)))
     return rows

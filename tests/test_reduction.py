@@ -30,16 +30,8 @@ from signstab import (
     trop_mutate,
 )
 
-from oracles import (
-    charpoly,
-    det,
-    edge_matrix,
-    mat_mul,
-    mutated,
-    perm_matrix,
-    relabeled,
-)
-from test_seeds import kronecker, random_seed
+from oracles import charpoly, det, poly_mul
+from samples import kronecker, random_seed, reference_walk
 
 F = Fraction
 
@@ -189,32 +181,14 @@ def test_block_structure_takes_one_radius_per_distinct_matrix():
     assert (radii.hits + radii.misses, radii.misses) == (4, len(distinct_polys))
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _oracle_block_form(path, frozen_out, eps):
-    """E^eps rebuilt with the oracle formulas, and the cycle lengths of the
+    """E^eps rebuilt by the reference walk, and the cycle lengths of the
     permutation sigma of K that its K columns e_sigma(k) make, after the
     block theorem is checked on it: |det E| = 1 and charpoly(E) =
     charpoly(E_J) * prod(nu^c - 1) over sigma's cycles."""
-    b = path.initial.b
+    e = reference_walk(path).branch(eps)[1]
     order = sorted(path.initial.unfrozen)
     n = len(order)
-    e = [[int(i == j) for j in range(n)] for i in range(n)]
-    signs = iter(eps)
-    for step in path.steps:
-        if isinstance(step, Flip):
-            col = [b[i][step.k] for i in order]
-            e = mat_mul(edge_matrix(col, order.index(step.k), next(signs)), e)
-            b = mutated(b, step.k)
-        else:
-            e = mat_mul(perm_matrix([order.index(step.sigma[i]) for i in order]), e)
-            b = relabeled(b, step.sigma)
     k_pos = [p for p, idx in enumerate(order) if idx in frozen_out]
     j_pos = [p for p in range(n) if p not in k_pos]
     sigma = {}
@@ -233,17 +207,14 @@ def _oracle_block_form(path, frozen_out, eps):
         lengths += [c] if c else []
     factor = (1,)
     for c in lengths:
-        factor = _poly_mul(factor, (-1,) + (0,) * (c - 1) + (1,))
+        factor = poly_mul(factor, (-1,) + (0,) * (c - 1) + (1,))
     e_j = [[e[p][q] for q in j_pos] for p in j_pos]
-    assert charpoly(e) == _poly_mul(charpoly(e_j), factor)
-    return tuple(map(tuple, e)), sorted(lengths)
+    assert charpoly(e) == poly_mul(charpoly(e_j), factor)
+    return e, sorted(lengths)
 
 
-def test_block_form_theorem_against_oracle_presentations():
-    from test_acceptance import _random_block_case
-
-    rng = random.Random(31)
-    cases = [_random_block_case(rng) for _ in range(100)]  # criterion 12
+def test_block_form_theorem_against_oracle_presentations(block_cases):
+    cases = list(block_cases)  # criterion 12
     rng = random.Random(32)
     for _ in range(12):  # rank 6, palindromes of 6 to 10 flips inside J
         b = [[0] * 6 for _ in range(6)]

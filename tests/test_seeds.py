@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import det, framed_c_matrix, inverse
+from samples import A2, kronecker, plain_steps, random_seed
 
 from signstab import (
     Flip,
@@ -23,22 +24,6 @@ from signstab import (
 )
 from signstab.matrices import is_skew_symmetric, transpose
 from signstab.seeds import CompiledPath, FlipStep
-
-A2 = Seed([[0, 1], [-1, 0]], {0, 1})
-
-
-def kronecker(ell: int) -> Seed:
-    return Seed([[0, -ell], [ell, 0]], {0, 1})
-
-
-def random_seed(rng, max_rank=5, max_entry=3, frozen=0):
-    n = rng.randint(2, max_rank) + frozen
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b[i][j] = rng.randint(-max_entry, max_entry)
-            b[j][i] = -b[i][j]
-    return Seed(b, frozenset(range(n - frozen)))
 
 
 def random_flip_path(rng, seed, length):
@@ -86,6 +71,12 @@ def test_compile_names_the_failing_step():
         mutate_b(frozen, 2)
     with pytest.raises(SplitViolationError, match="^permutation maps index 0"):
         apply_perm(frozen, (2, 1, 0))
+
+
+@pytest.mark.parametrize("step", [5, (1, 0), "flip", None, Seed([[0]], {0})])
+def test_path_rejects_a_step_that_is_not_a_flip_or_a_permute(step):
+    with pytest.raises(ValueError, match=r"^step 1 is \w+, not a Flip or a Permute$"):
+        MutationPath(A2, (Flip(0), step, Flip(1)))
 
 
 def test_apply_perm_examples():
@@ -207,8 +198,7 @@ def test_cg_with_frozen_indices_match_framed_mutation():
                 steps.append(Flip(rng.choice(unfrozen)))
         path = MutationPath(Seed(s.b, frozenset(unfrozen)), tuple(steps))
         c = c_matrix(path)
-        plain = [st.k if isinstance(st, Flip) else st.sigma for st in steps]
-        assert c == framed_c_matrix(s.b, unfrozen, plain), case
+        assert c == framed_c_matrix(s.b, unfrozen, plain_steps(path)), case
         assert g_matrix(path) == transpose(inverse(c)), case
 
 

@@ -3,12 +3,13 @@ oracle that shares no code with the engine.
 
 Criterion 13 covers rank <= 3 and at most 4 flips.  Here the seeds have 3
 to 6 unfrozen indices, up to 2 frozen ones, and up to 8 flips mixed with
-split-preserving Permute steps.  The path is walked in this file: B by the
-mutation formula, points by the tropical step formula, and sign-cone rows
-by multiplying out the edge and relabeling matrices.  Then
+split-preserving Permute steps.  The path is walked by the reference walk
+of ``oracles.py``: B by the mutation formula, points by the tropical step
+formula, and sign-cone rows by multiplying out the edge and relabeling
+matrices.  Then
 
-* every reported witness, walked here, has exactly its reported sign, so
-  every reported sequence is realizable;
+* every reported witness, walked by the oracle, has exactly its reported
+  sign, so every reported sequence is realizable;
 * for every strict sequence not reported, the first prefix that no
   reported sequence shares has an open sign cone that the
   Gordan/Caratheodory oracle of ``oracles.py`` proves empty, so no
@@ -19,7 +20,8 @@ import gc
 import random
 
 import pytest
-from oracles import gordan_empty, mutated
+from oracles import gordan_empty
+from samples import reference_walk
 
 from signstab import (
     Flip,
@@ -64,75 +66,6 @@ def _random_path(rng):
     return MutationPath(Seed(b, frozenset(unfrozen)), tuple(steps))
 
 
-def _relabeled(b, sigma):
-    n = len(b)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[sigma[i]][sigma[j]] = b[i][j]
-    return out
-
-
-def _steps(path):
-    """Walk the path here: per flip ("flip", its unfrozen position, the
-    unfrozen column of B at it), per relabeling ("perm", the new position of
-    each unfrozen position, None)."""
-    order = sorted(path.initial.unfrozen)
-    pos = {idx: p for p, idx in enumerate(order)}
-    b = [list(row) for row in path.initial.b]
-    for step in path.steps:
-        if isinstance(step, Flip):
-            yield "flip", pos[step.k], [b[i][step.k] for i in order]
-            b = mutated(b, step.k)
-        else:
-            yield "perm", [pos[step.sigma[idx]] for idx in order], None
-            b = _relabeled(b, step.sigma)
-
-
-def _moved(entries, perm):
-    out = [None] * len(entries)
-    for p, q in enumerate(perm):
-        out[q] = entries[p]
-    return out
-
-
-def _signs_of(path, w):
-    """Sign sequence of a point by x'_k = -x_k, x'_i = x_i + [s*b_ik]_+ x_k
-    with s = sgn(x_k)."""
-    x = list(w)
-    signs = []
-    for kind, kp, col in _steps(path):
-        if kind == "perm":
-            x = _moved(x, kp)
-            continue
-        xk = x[kp]
-        s = (xk > 0) - (xk < 0)
-        signs.append(s)
-        x = [-xk if i == kp else xi + max(s * col[i], 0) * xk
-             for i, xi in enumerate(x)]
-    return tuple(signs)
-
-
-def _cone_rows(path, prefix):
-    """Rows eps_nu * (row k_nu of the running linear map), one per flip of
-    the prefix, with the edge matrices (E_kk = -1, E_ik = [eps*b_ik]_+)
-    multiplied out here."""
-    n = path.initial.n_uf
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = []
-    for kind, kp, col in _steps(path):
-        if len(rows) == len(prefix):
-            break
-        if kind == "perm":
-            m = _moved(m, kp)
-            continue
-        e = prefix[len(rows)]
-        rows.append(tuple(e * x for x in m[kp]))
-        m = [[-m[kp][j] if i == kp else m[i][j] + max(e * col[i], 0) * m[kp][j]
-              for j in range(n)] for i in range(n)]
-    return rows
-
-
 def test_sign_tree_matches_oracle_with_frozen_indices_and_perms():
     rng = random.Random(606)
     frozen_cases = perm_cases = deep_cases = empty_prefixes = 0
@@ -142,9 +75,10 @@ def test_sign_tree_matches_oracle_with_frozen_indices_and_perms():
         frozen_cases += n < path.initial.n
         perm_cases += any(isinstance(s, Permute) for s in path.steps)
         deep_cases += path.h >= 7
+        walk = reference_walk(path)
         found = enumerate_realizable_signs_with_witnesses(path)
         for eps, w in found.items():
-            assert _signs_of(path, w) == eps, (case, eps, w)
+            assert walk.points(w)[0] == eps, (case, eps, w)
         prefixes = {eps[:k] for eps in found for k in range(path.h + 1)}
         for prefix in prefixes:
             if len(prefix) == path.h:
@@ -153,7 +87,8 @@ def test_sign_tree_matches_oracle_with_frozen_indices_and_perms():
                 child = prefix + (side,)
                 if child not in prefixes:
                     empty_prefixes += 1
-                    assert gordan_empty(_cone_rows(path, child), n), (case, child)
+                    rows = walk.branch(child)[0]
+                    assert gordan_empty(rows, n), (case, child)
         # the budget counts one node per realizable prefix, root included
         enumerate_realizable_signs_with_witnesses(path, max_branch=len(prefixes))
         with pytest.raises(SignstabError):

@@ -52,7 +52,7 @@ from signstab import (
 from signstab import io as sio
 from signstab import seeds
 
-from test_seeds import A2, kronecker
+from samples import A2, kronecker
 
 F = Fraction
 

@@ -28,7 +28,7 @@ from signstab import (
 )
 from signstab.tropical import normalize_point
 
-from test_seeds import A2, kronecker, random_seed
+from samples import A2, kronecker, random_seed
 
 F = Fraction
 
@@ -83,11 +83,13 @@ def test_edge_matrix_examples():
 def test_one_flip_functions_reject_a_frozen_index():
     s = Seed([[0, 1], [-1, 0]], {0})
     for k in (1, 5):  # frozen, out of range
-        with pytest.raises(FrozenIndexError):
+        # one wording for all three: a one-step call names no step position
+        message = f"^index {k} is frozen or out of range$"
+        with pytest.raises(FrozenIndexError, match=message):
             trop_mutate(s, k, (Fraction(1),))
-        with pytest.raises(FrozenIndexError):
+        with pytest.raises(FrozenIndexError, match=message):
             edge_matrix(s, k, 1)
-        with pytest.raises(FrozenIndexError):
+        with pytest.raises(FrozenIndexError, match=message):
             mutate_b(s, k)
     # the point is checked before the one-flip path is compiled
     with pytest.raises(DimensionMismatchError):
