@@ -76,25 +76,33 @@ class Seed(FrozenRecord):
 
 
 class Flip(FrozenRecord):
+    """A flip at index k, an int: any other k is a ValueError that names
+    its type and does not echo it."""
+
     _fields = ("k",)
 
     def __init__(self, k: int):
         object.__setattr__(self, "k", k)
         if type(k) is not int:
-            raise ValueError(f"flip index {k!r} is not an int")
+            raise ValueError(f"flip index is a {type(k).__name__}, not an int")
 
 
 class Permute(FrozenRecord):
+    """A relabeling sigma of the indices, a permutation of range(n) as ints:
+    any other sigma is a ValueError that names an entry's position and
+    type, or the range, and does not echo the entry."""
+
     _fields = ("sigma",)
 
     def __init__(self, sigma: tuple[int, ...]):
         sigma = tuple(sigma)
         object.__setattr__(self, "sigma", sigma)
-        for x in sigma:
+        for i, x in enumerate(sigma):
             if type(x) is not int:
-                raise ValueError(f"perm entry {x!r} is not an int")
+                raise ValueError(f"perm entry at position {i} is a "
+                                 f"{type(x).__name__}, not an int")
         if sorted(sigma) != list(range(len(sigma))):
-            raise ValueError(f"not a permutation: {sigma}")
+            raise ValueError(f"not a permutation of range({len(sigma)})")
 
 
 PathStep = Flip | Permute
@@ -302,6 +310,35 @@ class CompiledPath(FrozenRecord):
         for i, c in cols[eps]:
             m[i] = [x + c * y for x, y in zip(m[i], krow)]
         m[kp] = [-x for x in krow]
+
+    def live_steps(self) -> tuple[FlipStep | PermStep, ...]:
+        """The steps with every update of a row that no later flip reads
+        taken out, for a search that reads row kp of the product at each
+        flip and no row after the last step.
+
+        One backward walk from the empty set of rows the end reads: a flip
+        reads row kp of the product before it, and a relabeling moves row i
+        to perm[i], so it needs row i exactly when row perm[i] is read after
+        it.  Each FlipStep keeps only the pairs (i, c) whose row i is read
+        after the flip, and a relabeling after which no row is read is
+        dropped.  Left-multiplying by the kept steps with ``apply_left``
+        gives, at each flip, the row kp that the full steps give; every
+        other row may be stale.
+        """
+        live = set()
+        kept = []
+        for step in reversed(self.steps):
+            if type(step) is PermStep:
+                if not live:
+                    continue
+                live = {i for i, p in enumerate(step.perm) if p in live}
+            else:
+                kp, cols = step
+                step = FlipStep(kp, tuple(
+                    tuple((i, c) for i, c in col if i in live) for col in cols))
+                live.add(kp)
+            kept.append(step)
+        return tuple(reversed(kept))
 
     def branch(self, eps) -> list:
         """The presentation matrix of the strict sign sequence eps: the

@@ -9,13 +9,17 @@ integers, until a row repeats exactly and the rest of the orbit replays
 its cycle; the sign tree left-multiplies the running presentation product
 one compiled step at a time.
 
-Realizable sign sequences come from one exact search over the sign tree
-(:func:`realizable_branches`), which enumeration, the block-structure
-check and the stretch-factor table all walk.  It is one recursive
-generator that takes its whole state as arguments, so a search leaves no
-reference cycle behind.  Each realizable sequence comes with the primitive
-integer witness the search found, and that tuple of ints is the one
-witness form every caller receives.  Each node keeps the feasibility
+Realizable sign sequences come from one exact search over the sign tree,
+which enumeration, the block-structure check and the stretch-factor table
+all walk.  The block-structure check and the stretch-factor table read
+each leaf's presentation matrix (:func:`realizable_branches`), so their
+search keeps every row of the running product.  Enumeration reads none:
+its search walks ``CompiledPath.live_steps``, which update only the rows
+that a later flip reads, and builds no leaf matrix.  The search is one
+recursive generator that takes its whole state as arguments, so a search
+leaves no reference cycle behind.  Each realizable sequence comes with
+the primitive integer witness the search found, and that tuple of ints is
+the one witness form every caller receives.  Each node keeps the feasibility
 tableau of its open cone; a child prices its one new row against its
 parent's tableau and either shares that tableau and inherits its witness,
 or pivots on from the parent's basis.  An empty child leaves a Gordan
@@ -238,7 +242,22 @@ def realizable_branches(
     when a kept multiplier's rows all lie in its cone, after that
     multiplier is checked again exactly.  ``max_branch`` bounds the number
     of nodes visited, and ``tropical.check_sign`` checks ``stable``.
+
+    This search reads every leaf matrix, so it walks the path's full steps
+    and keeps every row of the product.  Enumeration, which reads none,
+    walks ``CompiledPath.live_steps``: it updates only the rows that a
+    later flip reads and builds no leaf matrix.
     """
+    return ((eps, witness, mx.freeze(matrix)) for eps, witness, matrix
+            in _search(path, path.compiled.steps, stable, max_branch))
+
+
+def _search(path, steps, stable=None, max_branch=None):
+    """The sign tree of path rooted on steps, the path's compiled steps or
+    ``CompiledPath.live_steps`` (see :func:`realizable_branches`): the
+    identity product and the empty tableau, after the checks of max_branch
+    and stable.  On the live steps a leaf's running product is stale, and
+    no caller reads it."""
     if max_branch is not None and max_branch < 1:
         raise ValueError("max_branch must be >= 1")
     if stable is None:
@@ -246,25 +265,26 @@ def realizable_branches(
     check_sign(path, stable)
     n = path.compiled.n
     visits = count() if max_branch is None else iter(range(max_branch))
-    return _sign_tree(path.compiled.steps, stable, visits, {}, 0,
-                      list(mx.identity(n)), Tableau.empty(n), ())
+    return _sign_tree(steps, stable, visits, {}, 0, list(mx.identity(n)),
+                      Tableau.empty(n), ())
 
 
 def _sign_tree(steps, stable, visits, multipliers, step_idx, matrix, tableau,
                prefix):
     """The realizable branches below the node that took the first step_idx
-    steps with the signs in prefix (see :func:`realizable_branches`): matrix
-    is its running product, a list of rows relabeled here in place, and
-    tableau its open cone, whose rows are tableau.cons.  Each visit takes
-    one item of visits; multipliers files each kept multiplier under each
-    row of its support."""
+    steps with the signs in prefix (see :func:`realizable_branches`), as
+    (prefix, witness, running product) at each leaf: matrix is the node's
+    running product, a list of rows relabeled here in place, and tableau
+    its open cone, whose rows are tableau.cons.  Each visit takes one item
+    of visits; multipliers files each kept multiplier under each row of its
+    support."""
     if next(visits, None) is None:
         raise SignstabError("branch budget exhausted (max_branch)")
     while step_idx < len(steps) and type(steps[step_idx]) is PermStep:
         CompiledPath.apply_left(matrix, steps[step_idx])
         step_idx += 1
     if step_idx == len(steps):
-        yield prefix, tableau.witness, mx.freeze(matrix)
+        yield prefix, tableau.witness, matrix
         return
     step = steps[step_idx]
     functional = matrix[step.kp]
@@ -300,18 +320,18 @@ def enumerate_realizable_signs_with_witnesses(
     max_branch: Optional[int] = None,
 ) -> dict[SignSeq, tuple[int, ...]]:
     """All realizable strict sign sequences, each with the sign tree's
-    primitive integer witness (see :func:`realizable_branches`)."""
-    return {
-        eps: witness
-        for eps, witness, _ in realizable_branches(path, max_branch=max_branch)
-    }
+    primitive integer witness (see :func:`realizable_branches`), from the
+    search on ``CompiledPath.live_steps``: no leaf matrix is read, so the
+    product keeps only the rows that a later flip reads."""
+    return {eps: witness for eps, witness, _
+            in _search(path, path.compiled.live_steps(), max_branch=max_branch)}
 
 
 def enumerate_realizable_signs(
     path: MutationPath,
     max_branch: Optional[int] = None,
 ) -> set[SignSeq]:
-    return {eps for eps, _, _ in realizable_branches(path, max_branch=max_branch)}
+    return set(enumerate_realizable_signs_with_witnesses(path, max_branch))
 
 
 # -- polynomials ---------------------------------------------------------------

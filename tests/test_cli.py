@@ -439,6 +439,30 @@ def test_json_nested_past_the_recursion_limit_is_a_format_error(tmp_path):
         assert doc["message"].startswith(f"{where} is not valid JSON: ")
 
 
+def test_deeply_nested_step_value_gives_a_short_error(tmp_path):
+    """A flip index or perm entry nested 950 deep decodes, and the step
+    check names its type without echoing it: a short FormatError report."""
+    nested = "[" * 950 + "0" + "]" * 950
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    for step, expected in (
+            (f'{{"flip": {nested}}}', "step 0 flip index is a list"),
+            (f'{{"perm": [{nested}, 0]}}',
+             "step 0 perm entry at position 0 is a list")):
+        path = tmp_path / "path.json"
+        path.write_text('{"seed": {"n": 2, "B": [[0, 1], [-1, 0]], '
+                        f'"unfrozen": [0, 1]}}, "steps": [{step}]}}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "signstab", "--json-only", "signs-enumerate",
+             "--path", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "FormatError"
+        assert doc["message"] == f"{path}: {expected}, not an int"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
                   "--candidate", "sqrt(2)"], id="stretch-candidate"),

@@ -166,9 +166,15 @@ def test_step_values_checked_by_their_constructors():
     for bad in ("10", 1, None, {"0": 1}):
         with pytest.raises(FormatError, match="^path: step 0 perm must be a list"):
             sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": bad}]})
-    with pytest.raises(FormatError, match="^path: step 0 perm entry '0'"):
-        sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": ["0", 1]}]})
-    with pytest.raises(FormatError, match="^path: step 1 not a permutation"):
+    # the message names the bad value's type and does not echo the value
+    with pytest.raises(FormatError, match="^path: step 0 perm entry at "
+                       "position 1 is a str, not an int$"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"perm": [0, "1"]}]})
+    with pytest.raises(FormatError, match="^path: step 0 flip index is a "
+                       "list, not an int$"):
+        sio.path_from_obj({"seed": A2_SEED, "steps": [{"flip": [0]}]})
+    with pytest.raises(FormatError, match=r"^path: step 1 not a permutation "
+                       r"of range\(2\)$"):
         sio.path_from_obj({"seed": A2_SEED, "steps": [{"flip": 0}, {"perm": [0, 0]}]})
 
 

@@ -13,7 +13,11 @@ matrices.  Then
 * for every strict sequence not reported, the first prefix that no
   reported sequence shares has an open sign cone that the
   Gordan/Caratheodory oracle of ``oracles.py`` proves empty, so no
-  unreported sequence is realizable.
+  unreported sequence is realizable;
+* the search that reads every leaf matrix (``realizable_branches``) and
+  enumeration's search, which keeps only the product rows a later flip
+  reads, give the same signs and witnesses in the same order and stop at
+  the same node budget, and each leaf matrix is the oracle's product.
 """
 
 import gc
@@ -89,11 +93,16 @@ def test_sign_tree_matches_oracle_with_frozen_indices_and_perms():
                     empty_prefixes += 1
                     rows = walk.branch(child)[0]
                     assert gordan_empty(rows, n), (case, child)
+        branches = list(realizable_branches(path))
+        for eps, _, matrix in branches:
+            assert matrix == walk.branch(eps)[1], (case, eps)
+        assert [(eps, w) for eps, w, _ in branches] == list(found.items())
         # the budget counts one node per realizable prefix, root included
-        enumerate_realizable_signs_with_witnesses(path, max_branch=len(prefixes))
-        with pytest.raises(SignstabError):
-            enumerate_realizable_signs_with_witnesses(
-                path, max_branch=len(prefixes) - 1)
+        for search in (enumerate_realizable_signs_with_witnesses,
+                       lambda *a, **k: list(realizable_branches(*a, **k))):
+            search(path, max_branch=len(prefixes))
+            with pytest.raises(SignstabError):
+                search(path, max_branch=len(prefixes) - 1)
     assert frozen_cases >= 10 and perm_cases >= 10 and deep_cases >= 5
     assert empty_prefixes >= 100
 
