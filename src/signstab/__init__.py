@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "scalars": (
         "QuadExt", "Rational", "Scalar", "format_scalar", "parse_scalar",
-        "pos_part", "quad_sqrt", "scalar_sign",
+        "pos_part", "scalar_sign",
     ),
     "seeds": (
         "Flip", "MutationPath", "Permute", "Seed", "Triangulation",

@@ -29,7 +29,8 @@ from .reduction import (
     hereditary_check,
     reduced_subsequence,
 )
-from .scalars import MAX_RADICAND, QuadExt, parse_scalar, square_free_split
+from .scalars import (ECHO_LIMIT, MAX_RADICAND, QuadExt, echo, parse_scalar,
+                      square_free_split)
 from .seeds import (
     Flip,
     MutationPath,
@@ -93,7 +94,7 @@ def _scalar_arg(text: str, flag: str):
 def _rational_arg(text: str, flag: str) -> Fraction:
     value = _scalar_arg(text, flag)
     if not isinstance(value, Fraction):
-        raise FormatError(f"{flag} must be rational, got {text!r}")
+        raise FormatError(f"{flag} must be rational, got {echo(text)}")
     return value
 
 
@@ -138,7 +139,7 @@ def _int_list(text: str, flag: str) -> list[int]:
         return [int(t) for t in str(text).replace(",", " ").split()]
     except ValueError:
         raise FormatError(
-            f"{flag} must be a comma list of integers, got {text!r}"
+            f"{flag} must be a comma list of integers, got {echo(text)}"
         ) from None
 
 
@@ -448,6 +449,12 @@ def _write_error(args, exc: SignstabError) -> None:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
+def _shown(text: str, value: int):
+    """The int value parsed from text as an error message shows it: its
+    digits for a short text, only the text's length for a long one."""
+    return value if len(text) <= ECHO_LIMIT else echo(text)
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer >= low, else a usage error."""
 
@@ -456,9 +463,10 @@ def _int_at_least(low: int):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}") from None
+                f"expected an integer, got {echo(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {_shown(text, value)}")
         return value
 
     return parse
@@ -470,7 +478,7 @@ def _radicand(text: str) -> int:
     d = _int_at_least(2)(text)
     if d > MAX_RADICAND:
         raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_RADICAND}, got {d}")
+            f"must be at most {MAX_RADICAND}, got {_shown(text, d)}")
     if square_free_split(d) != (1, d):
         raise argparse.ArgumentTypeError(f"must be square-free, got {d}")
     return d

@@ -12,7 +12,7 @@ class SignstabError(Exception):
 
 
 class RadicandMismatchError(SignstabError):
-    """Arithmetic attempted between values over Q(sqrt(d)) with different d."""
+    """Values over Q(sqrt(d)) with different d met in one computation."""
 
 
 class DimensionMismatchError(SignstabError):

@@ -1,10 +1,13 @@
 """Exact scalar arithmetic: rationals and real quadratic extensions Q(sqrt(d)).
 
-Rationals are plain ``fractions.Fraction``.  A ``QuadExt`` represents
-a + b*sqrt(d) with rational a, b and a fixed square-free radicand d >= 2.
-Mixing two distinct radicands is an error; rationals promote into any
-radicand.  Sign determination is exact, which is what the whole sign
-machinery of the engine rests on.
+Rationals are plain ``fractions.Fraction``.  A ``QuadExt`` is the value
+a + b*sqrt(d) with rational a, b and a square-free radicand d >= 2: it is
+built, compared for equality, hashed, signed, rendered and scaled by a
+rational, and nothing else.  The engine computes on the integer form
+(a + b*sqrt(d)) / den of its scalars (:func:`scalar_ints`,
+``tropical.point_to_ints``), where mixing two distinct radicands is a
+RadicandMismatchError.  Sign determination is exact (:func:`quad_sign`),
+which is what the whole sign machinery of the engine rests on.
 
 :class:`Record` and :class:`FrozenRecord`, the bases of the engine's
 record classes, live here too: every module with a record class imports
@@ -17,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import FormatError, MagnitudeError, RadicandMismatchError
+from .errors import FormatError, MagnitudeError
 
 Rational = Fraction
 Scalar = Union[Fraction, "QuadExt"]
@@ -26,8 +29,9 @@ _ZERO = Fraction(0)
 
 # The largest radicand accepted from text: square_free_split is trial
 # division up to sqrt(d).  It runs where a radicand enters (parse_scalar,
-# --radicand, quad_sqrt and the public QuadExt constructor); arithmetic
-# results keep their operands' checked radicand without running it again.
+# --radicand and the public QuadExt constructor); a rational multiple, and
+# a point built back from the integer walk, keep their operand's checked
+# radicand without running it again.
 MAX_RADICAND = 10**6
 
 
@@ -109,7 +113,9 @@ class FrozenRecord(Record):
 
 
 class QuadExt(FrozenRecord):
-    """The real number a + b*sqrt(d), exact."""
+    """The real number a + b*sqrt(d), exact: a value type with no field
+    arithmetic and no ordering.  Its sign is :meth:`sign`; sums, products
+    and comparisons run on its integer form (:func:`scalar_ints`)."""
 
     _fields = ("a", "b", "d")
 
@@ -124,84 +130,24 @@ class QuadExt(FrozenRecord):
     def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
         """a + b*sqrt(d) from Fractions a, b over a radicand d that was
         already checked, skipping the public constructor's square-free
-        test: every arithmetic result, and every point coordinate built
-        back from the integer walk (``tropical.point_from_ints``)."""
+        test: a rational multiple, and every point coordinate built back
+        from the integer walk (``tropical.point_from_ints``)."""
         q = object.__new__(cls)
         object.__setattr__(q, "a", a)
         object.__setattr__(q, "b", b)
         object.__setattr__(q, "d", d)
         return q
 
-    # -- coercion ---------------------------------------------------------
-
-    def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise RadicandMismatchError(
-                    f"cannot mix sqrt({self.d}) with sqrt({other.d})"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt._of(Fraction(other), _ZERO, self.d)
-        return NotImplemented
-
-    # -- ring/field operations --------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt._of(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt._of(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        """self times an int or a Fraction, over self's radicand; the one
+        arithmetic a QuadExt keeps."""
+        if isinstance(other, (int, Fraction)):
+            return QuadExt._of(self.a * other, self.b * other, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt._of(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        """Field norm a**2 - d*b**2."""
-        return self.a * self.a - self.d * self.b * self.b
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadExt._of(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    # -- comparisons --------------------------------------------------------
+    # -- equality and sign --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -223,24 +169,6 @@ class QuadExt(FrozenRecord):
         return quad_sign(a.numerator * b.denominator,
                          b.numerator * a.denominator, self.d)
 
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            raise TypeError(f"cannot compare QuadExt with {type(other)!r}")
-        return (self - o).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __float__(self):
         return float(self.a) + float(self.b) * self.d ** 0.5
 
@@ -258,28 +186,27 @@ def scalar_sign(s: Scalar) -> int:
     return (s > 0) - (s < 0)
 
 
-def pos_part(s: Scalar) -> Scalar:
-    """max(s, 0), decided by exact sign evaluation."""
-    if scalar_sign(s) > 0:
-        return s
-    return _ZERO if not isinstance(s, QuadExt) else QuadExt._of(_ZERO, _ZERO, s.d)
-
-
-def quad_sqrt(n: int | Fraction) -> Scalar:
-    """Exact sqrt(n) for rational n >= 0, as Fraction or QuadExt."""
-    n = Fraction(n)
-    if n < 0:
-        raise ValueError("negative radicand")
-    s, d = square_free_split(n.numerator * n.denominator)
-    if d == 1:
-        return Fraction(s, n.denominator)
-    return QuadExt(0, Fraction(s, n.denominator), d)
+def pos_part(s: Fraction) -> Fraction:
+    """max(s, 0) of a rational s."""
+    return s if s > 0 else _ZERO
 
 
 # -- text encoding ----------------------------------------------------------
 #
 # Exact scalars in files render as "p", "p/q" or "p/q+r/s*sqrt(d)".
 # No float literals are accepted.
+
+# The longest bad literal an error message repeats; a longer one is named
+# by its length alone, so that a message stays short whatever the input.
+ECHO_LIMIT = 80
+
+
+def echo(text: str) -> str:
+    """What an error message shows of a bad literal: repr(text) for a text
+    of at most ECHO_LIMIT characters, else only its length."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"<{len(text):,} characters>"
 
 
 def scalar_ints(s) -> tuple[int, int, int, int]:
@@ -333,7 +260,7 @@ def _parse_frac(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational literal {text!r}") from exc
+        raise FormatError(f"bad rational literal {echo(text)}") from exc
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -342,19 +269,19 @@ def parse_scalar(text: str) -> Scalar:
         raise FormatError(f"scalar literal must be a string, got {text!r}")
     t = text.replace(" ", "")
     if "." in t or "e" in t.lower().replace("sqrt", ""):
-        raise FormatError(f"float literals are not exact: {text!r}")
+        raise FormatError(f"float literals are not exact: {echo(text)}")
     if "sqrt" not in t:
         return _parse_frac(t)
     root = t.index("sqrt")
     if t[root:].count("(") != 1 or not t.endswith(")"):
-        raise FormatError(f"bad quadratic literal {text!r}")
+        raise FormatError(f"bad quadratic literal {echo(text)}")
     d_text = t[root + 5 : -1]
     if not d_text.lstrip("+").isdecimal():  # what int() accepts
-        raise FormatError(f"bad radicand in {text!r}")
+        raise FormatError(f"bad radicand in {echo(text)}")
     # the length first: int() refuses a very long digit string
     if (len(d_text.lstrip("+0")) > len(str(MAX_RADICAND))
             or int(d_text) > MAX_RADICAND):
-        raise FormatError(f"radicand in {text!r} is above {MAX_RADICAND}")
+        raise FormatError(f"radicand in {echo(text)} is above {MAX_RADICAND}")
     d = int(d_text)
     head = t[:root]
     if head.endswith("*"):

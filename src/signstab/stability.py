@@ -37,8 +37,10 @@ in exact arithmetic polish the top one (see :func:`root_radius`).  Each
 distinct matrix and each distinct polynomial takes that pass once a
 process: :func:`char_poly` and :func:`root_radius` keep bounded LRU caches.
 Floats are never used for sign decisions; exactness claims are routed
-through verify_eigenpair or polynomial evaluation in Q(sqrt(d)), which is
-one Horner pass in the integers (:meth:`IntPoly.__call__`).
+through verify_eigenpair or polynomial evaluation in Q(sqrt(d)), and both
+run on the integer form (a + b*sqrt(d)) / D of their scalars: one pass
+over the rows (:func:`verify_eigenpair`) and one Horner pass
+(:meth:`IntPoly.__call__`).  No QuadExt arithmetic is involved.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .tropical import (
     check_point,
     check_sign,
     check_sign_entries,
+    exact_point,
     is_strict,
     normalize_ints,
     point_from_ints,
@@ -741,17 +744,33 @@ def stretch_factor(
 
 def verify_eigenpair(m: mx.Matrix, lam: Scalar, x: Sequence[Scalar]) -> bool:
     """Exact check M x = lambda x with x != 0: the zero vector is no
-    eigenvector, whatever lambda is."""
-    if len(m) != len(x):
+    eigenvector, whatever lambda is.
+
+    One pass in the integers: lambda, x and the entries of M are written
+    as (a + b*sqrt(d)) / D over one D (``point_to_ints``, so any two
+    radicands among them are a RadicandMismatchError), and each row
+    compares the rational and the sqrt(d) parts of D**2 (M x)_i and
+    D**2 lambda x_i.
+    """
+    n = len(x)
+    if len(m) != n:
         raise DimensionMismatchError("matrix and vector sizes differ")
     for row in m:
-        if len(row) != len(x):
+        if len(row) != n:
             raise DimensionMismatchError("matrix is not square")
-    if all(xi == 0 for xi in x):
+    (a, b), d, _ = point_to_ints(
+        exact_point((lam, *x, *(c for row in m for c in row))))
+    b = b or (0,) * len(a)
+    la, lb, xa, xb = a[0], b[0], a[1:n + 1], b[1:n + 1]
+    if not any(xa + xb):
         return False
-    for i, row in enumerate(m):
-        lhs = sum((c * xi for c, xi in zip(row, x)), start=Fraction(0))
-        if lhs != lam * x[i]:
+    for i in range(n):
+        at = n + 1 + i * n
+        u = v = 0
+        for ca, cb, ya, yb in zip(a[at:at + n], b[at:at + n], xa, xb):
+            u += ca * ya + d * cb * yb
+            v += ca * yb + cb * ya
+        if u != la * xa[i] + d * lb * xb[i] or v != la * xb[i] + lb * xa[i]:
             return False
     return True
 

@@ -29,7 +29,7 @@ from typing import Sequence
 from . import matrices as mx
 from .errors import (DimensionMismatchError, FormatError, NonStrictSignError,
                      RadicandMismatchError)
-from .scalars import QuadExt, Scalar, quad_sign
+from .scalars import QuadExt, Scalar, echo, quad_sign
 from .seeds import Flip, MutationPath, Seed, one_step
 
 TropPoint = tuple[Scalar, ...]
@@ -50,7 +50,7 @@ def parse_sign_str(text: str) -> SignSeq:
     try:
         return tuple(_CHAR_TO_SIGN[c] for c in cleaned)
     except KeyError as exc:
-        raise FormatError(f"bad sign character in {text!r}") from exc
+        raise FormatError(f"bad sign character in {echo(text)}") from exc
 
 
 def is_strict(eps: SignSeq) -> bool:

@@ -1,12 +1,80 @@
 """Reference computations shared by several test files.
 
 Nothing here imports signstab: these are the independent oracles the
-engine's answers are checked against.
+engine's answers are checked against.  A point over Q(sqrt d) walks here
+as :class:`Quad` numbers, with this module's own arithmetic and signs.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
+
+
+class Quad:
+    """The real number a + b*sqrt(d) for rationals a, b and an integer
+    d >= 2 that is not a square.  It adds, negates, subtracts, multiplies
+    and divides, with ints and Fractions promoted into it, and equals a
+    Quad of the same (a, b, d) or, when b = 0, the rational a.  Its sign
+    is :func:`sign`; it has no ordering.  Mixing two radicands is an
+    AssertionError."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def _lift(self, x):
+        if isinstance(x, Quad):
+            assert x.d == self.d, f"sqrt({x.d}) with sqrt({self.d})"
+            return x
+        return Quad(x, 0, self.d)
+
+    def __add__(self, x):
+        x = self._lift(x)
+        return Quad(self.a + x.a, self.b + x.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Quad(-self.a, -self.b, self.d)
+
+    def __sub__(self, x):
+        return self + -self._lift(x)
+
+    def __mul__(self, x):
+        x = self._lift(x)
+        return Quad(self.a * x.a + self.d * self.b * x.b,
+                    self.a * x.b + self.b * x.a, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, x):
+        """self * conj(x) / (x.a^2 - d x.b^2); the norm is 0 only at 0."""
+        x = self._lift(x)
+        norm = x.a * x.a - x.d * x.b * x.b
+        return self * Quad(x.a / norm, -x.b / norm, self.d)
+
+    def __eq__(self, x):
+        if isinstance(x, Quad):
+            return (self.a, self.b, self.d) == (x.a, x.b, x.d)
+        return self.b == 0 and self.a == x
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Quad({self.a}, {self.b}, {self.d})"
+
+
+def sign(x):
+    """The sign of an int, a Fraction or a Quad.  For a Quad with parts of
+    opposite signs the larger of a^2 and d*b^2 wins; they never tie, since
+    d is not a square."""
+    if not isinstance(x, Quad):
+        return (x > 0) - (x < 0)
+    sa, sb = sign(x.a), sign(x.b)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if x.a * x.a > x.d * x.b * x.b else sb
 
 
 def mutated(b, k):
@@ -38,7 +106,7 @@ def trop_step(col, kp, x):
     s = sgn(x_k); col is column k of B over the coordinates of x, and kp
     is the position of k among them."""
     xk = x[kp]
-    s = (xk > 0) - (xk < 0)
+    s = sign(xk)
     out = list(x)
     out[kp] = -xk
     for i, b in enumerate(col):
@@ -107,7 +175,7 @@ class PathWalk:
 
     def points(self, w):
         """(signs, the point before each step, the end point) of the point
-        w: at each flip the sign of x_k, decided by comparison, and
+        w: at each flip the sign of x_k, by :func:`sign`, and
         ``trop_step``."""
         signs, before = [], []
         for kp, col in self.moves:
@@ -115,7 +183,7 @@ class PathWalk:
             if kp is None:
                 w = moved(w, col)
             else:
-                signs.append((w[kp] > 0) - (w[kp] < 0))
+                signs.append(sign(w[kp]))
                 w = trop_step(col, kp, w)
         return tuple(signs), before, w
 

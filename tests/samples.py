@@ -1,11 +1,12 @@
-"""Seeds shared by several test files, and the reference walk of a path.
+"""Seeds shared by several test files, the reference walk of a path, and
+the oracle's numbers of a point.
 
 Test modules import these from here, never from one another.
 """
 
-from oracles import PathWalk
+from oracles import PathWalk, Quad
 
-from signstab import Flip, Seed
+from signstab import Flip, QuadExt, Seed
 
 A2 = Seed([[0, 1], [-1, 0]], {0, 1})
 
@@ -33,3 +34,15 @@ def plain_steps(path):
 def reference_walk(path) -> PathWalk:
     """The oracle walk of a MutationPath, which it sees as plain data."""
     return PathWalk(path.initial.b, path.initial.unfrozen, plain_steps(path))
+
+
+def quads(w):
+    """A point of Fractions and QuadExts as the oracle's numbers: every
+    coordinate a :class:`~oracles.Quad` over the point's one radicand when
+    a coordinate is a QuadExt, else the point as it is."""
+    ds = {x.d for x in w if isinstance(x, QuadExt)}
+    if not ds:
+        return tuple(w)
+    (d,) = ds
+    return tuple(Quad(x.a, x.b, d) if isinstance(x, QuadExt) else Quad(x, 0, d)
+                 for x in w)

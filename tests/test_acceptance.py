@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from oracles import inverse, unique_solution
-from samples import A2, reference_walk
+from oracles import Quad, inverse, unique_solution
+from samples import A2, quads, reference_walk
 
 from signstab import (
     Flip,
@@ -34,10 +34,10 @@ from signstab import (
     iterate_orbit,
     pants_boundary_sums,
     pants_measures,
+    parse_scalar,
     parse_sign_str,
     permutation_factor_check,
     presentation_matrix_for_sign,
-    quad_sqrt,
     reduced_subsequence,
     scalar_sign,
     sign_geq,
@@ -144,16 +144,16 @@ def _on_ray(w, mu):
         return False
     if scalar_sign(x0) == 0:
         return scalar_sign(x1) == 0
-    return x1 - mu * x0 == 0
+    return mu * x0 == x1
 
 
 def test_criterion_04_kronecker_dehn_twists():
     for ell in (2, 3, 4, 5):
         seed = Seed([[0, -ell], [ell, 0]], {0, 1})
         path = MutationPath(seed, (Flip(0), Permute((1, 0))))
-        root = quad_sqrt(ell * ell - 4)
-        lam = (ell + root) / 2
-        mu = (-ell - root) / 2
+        # (+-ell +- sqrt(ell^2 - 4)) / 2; sqrt(0) = 0 gives lam = 1 at ell = 2
+        lam = parse_scalar(f"{ell}/2+1/2*sqrt({ell * ell - 4})")
+        mu = parse_scalar(f"-{ell}/2-1/2*sqrt({ell * ell - 4})")
         rng = random.Random(100 + ell)
         sampled = 0
         while sampled < 20:
@@ -211,7 +211,8 @@ def test_criterion_05_orbit_table(sphere_path, sphere_points):
 def test_criterion_06_eigen_transport(sphere_path, sphere_points):
     l_plus = sphere_points["L_plus"]
     final, _ = transport(sphere_path, l_plus)
-    assert final == tuple(GOLDEN * x for x in l_plus)
+    golden = Quad(GOLDEN.a, GOLDEN.b, 5)
+    assert quads(final) == tuple(golden * x for x in quads(l_plus))
     assert sign_str(sign_of_path(sphere_path, l_plus)) == sphere_points["eps_stab"]
     ok(6, "transport of the quadratic fixed direction scales by (3+sqrt5)/2 "
           "exactly and realizes the stable sign")

@@ -463,6 +463,52 @@ def test_deeply_nested_step_value_gives_a_short_error(tmp_path):
         assert doc["message"] == f"{path}: {expected}, not an int"
 
 
+# 3,000-character literals, one per literal parser: (argv with LONG in
+# place of the flag value or coordinate text, the literal)
+LONG = "LONG"
+LONG_LITERALS = {
+    "rational": (["sign", "--path", f"{DATA}/a2_path.json",
+                  "--point", f'["{LONG}",1]'], "1/" + "x" * 2998),
+    "float": (["sign", "--path", f"{DATA}/a2_path.json",
+               "--point", f'["{LONG}",1]'], "1." + "0" * 2998),
+    "quadratic": (["stretch", "--path", f"{DATA}/kron3_path.json",
+                   "--stable", "+", "--candidate", LONG], "sqrt(" * 600),
+    "radicand": (["stretch", "--path", f"{DATA}/kron3_path.json",
+                  "--stable", "+", "--candidate", LONG],
+                 "sqrt(" + "x" * 2994 + ")"),
+    "radicand-above": (["eigencheck", "--matrix", "[[1]]", "--eigenvalue", LONG,
+                        "--vector", "[1]"], "sqrt(" + "9" * 2994 + ")"),
+    "not-rational": (["pants", "--m1", LONG, "--m2", "1", "--m3", "1"],
+                     "1+" + "0" * 2989 + "2*sqrt(2)"),
+    "int-list": (["mutate", "--seed", f"{DATA}/annulus_seed.json", "--k", LONG],
+                 "0," * 1499 + "x,"),
+    "int": (["orbit", "--path", f"{DATA}/a2_path.json", "--point", "[1,1]",
+             "--iters", LONG], "x" * 3000),
+    "int-below": (["orbit", "--path", f"{DATA}/a2_path.json", "--point", "[1,1]",
+                   "--iters", LONG], "-" + "9" * 2999),
+    "radicand-flag": (["eigencheck", "--matrix", "[[1]]", "--eigenvalue", "1",
+                       "--vector", "[1]", "--radicand", LONG], "9" * 3000),
+    "sign": (["presentation", "--path", f"{DATA}/a2_path.json", "--sign", LONG],
+             "+" * 2999 + "?"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LONG_LITERALS))
+def test_long_bad_literal_is_named_by_its_length(capsys, label):
+    """A bad literal of 3,000 characters is named by its length alone, so
+    that the report stays short."""
+    argv, literal = LONG_LITERALS[label]
+    assert len(literal) == 3000
+    try:
+        code = main(["--json-only", *(a.replace(LONG, literal) for a in argv)])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert code in (1, 2) and out.err == ""
+    message = json.loads(out.out)["message"]
+    assert "<3,000 characters>" in message and len(message) < 200, message
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["stretch", "--path", f"{DATA}/kron3_path.json", "--stable", "+",
                   "--candidate", "sqrt(2)"], id="stretch-candidate"),
@@ -1102,7 +1148,7 @@ freeze g_matrix generator_coordinate_trace hereditary_check in_triangle_regime
 is_loop is_strict iterate_orbit matrices mutate_b pants_boundary_sums
 pants_measures parse_scalar parse_sign_str permutation_factor_check pos_part
 presentation_matrix_at_point presentation_matrix_for_sign project_point
-quad_sqrt realizable_branches reduced_subsequence reduction scalar_sign scalars
+realizable_branches reduced_subsequence reduction scalar_sign scalars
 seeds seeds_along sign_geq sign_of_path sign_str spectral_radius stability
 stretch_factor traintrack transport trop_mutate tropical validate_measure
 verify_eigenpair

@@ -5,11 +5,13 @@ The reference walk calls no signstab step function: it mutates and
 relabels B, steps and relabels points and multiplies edge and
 permutation matrices with the formulas in ``oracles``.  The seeds are
 random, with frozen indices and split-preserving Permute steps, and the
-points are rational or lie in Q(sqrt 5).  Points are compared coordinate
-by coordinate with their types: every coordinate walked or normalized
-from a point with a QuadExt coordinate is a QuadExt, and every one from
-a rational point a Fraction, so a Q(sqrt 5) point is promoted to
-QuadExts before the reference walk takes it.
+points are rational or lie in Q(sqrt 5).  The reference walk takes a
+Q(sqrt 5) point as the oracle's own numbers (``samples.quads``: every
+coordinate an ``oracles.Quad``), so its signs come from ``oracles.sign``
+and never from the engine.  Points are compared coordinate by coordinate
+with their kinds: every coordinate walked or normalized from a point with
+a QuadExt coordinate is a QuadExt, compared with the oracle's Quad on
+(a, b, d), and every one from a rational point a Fraction.
 """
 
 import itertools
@@ -17,7 +19,8 @@ import json
 import random
 from fractions import Fraction
 
-from samples import reference_walk
+from oracles import Quad, mat_vec, sign
+from samples import quads, reference_walk
 
 from signstab import io as sio
 from signstab import (
@@ -33,7 +36,6 @@ from signstab import (
     is_loop,
     iterate_orbit,
     presentation_matrix_for_sign,
-    scalar_sign,
     seeds_along,
     sign_of_path,
     transport,
@@ -79,17 +81,11 @@ def _random_point(rng, n, quadratic):
 
 
 def _typed(w):
-    """A point with the type of each coordinate beside its value."""
-    return tuple((type(x), x) for x in w)
-
-
-def _promoted(w):
-    """w with every coordinate a QuadExt when one of them is."""
-    ds = {x.d for x in w if isinstance(x, QuadExt)}
-    if not ds:
-        return w
-    (d,) = ds
-    return tuple(x if isinstance(x, QuadExt) else QuadExt(x, 0, d) for x in w)
+    """A point as comparable values: (a, b, d) for a coordinate over
+    Q(sqrt d), the engine's QuadExt or the oracle's Quad, and the type
+    beside the value for a rational one."""
+    return tuple((x.a, x.b, x.d) if isinstance(x, (QuadExt, Quad))
+                 else (type(x), x) for x in w)
 
 
 def test_whole_path_functions_match_step_by_step_walk():
@@ -107,7 +103,7 @@ def test_whole_path_functions_match_step_by_step_walk():
         points.append(tuple(Fraction(rng.choice((0, 0, 1, -2))) for _ in range(n)))
         befores = []
         for w in points:
-            signs, before, end = walk.points(_promoted(w))
+            signs, before, end = walk.points(quads(w))
             befores.append(before)
             assert sign_of_path(path, w) == signs, case
             got_end, got_before = transport(path, w)
@@ -116,8 +112,7 @@ def test_whole_path_functions_match_step_by_step_walk():
             if 0 not in signs:
                 # E^eps is the linear branch the walk took at w
                 m = presentation_matrix_for_sign(path, signs)
-                assert tuple(sum((c * x for c, x in zip(row, w)), Fraction(0))
-                             for row in m) == end, case
+                assert mat_vec(m, quads(w)) == end, case
         sign_set = list(itertools.product((1, -1), repeat=path.h))
         for eps in rng.sample(sign_set, min(4, len(sign_set))):
             want = walk.branch(eps)[1]
@@ -133,7 +128,7 @@ def test_whole_path_functions_match_step_by_step_walk():
             want = [[before[t][kp] for before in gen_befores] for t, kp in flips]
             got = generator_coordinate_trace(path, cone)
             assert list(map(_typed, got)) == list(map(_typed, want)), case
-            signs = [[scalar_sign(x) for x in row] for row in want]
+            signs = [[sign(x) for x in row] for row in want]
             compat = [not any(row) for row in signs]
             compatible += sum(compat)
             assert edge_compatibility(path, cone) == compat, case
@@ -142,14 +137,15 @@ def test_whole_path_functions_match_step_by_step_walk():
 
 
 def _normalized(w):
-    """w divided by its first coordinate of largest absolute value, by
-    exact arithmetic on the coordinates themselves; zero stays as it is."""
+    """w divided by its first coordinate of largest absolute value, by the
+    oracle's arithmetic and signs on the coordinates themselves; zero
+    stays as it is."""
     big = None
     for x in w:
-        ax = -x if x < 0 else x
-        if big is None or ax > big:
+        ax = -x if sign(x) < 0 else x
+        if big is None or sign(ax - big) > 0:
             big = ax
-    if big is None or big == 0:
+    if big is None or sign(big) == 0:
         return w
     return tuple(x / big for x in w)
 
@@ -157,8 +153,9 @@ def _normalized(w):
 def _reference_orbit(path, w, laps):
     walk = reference_walk(path)
     rows = []
+    w = quads(w)
     for _ in range(laps):
-        signs, _, w = walk.points(_promoted(w))
+        signs, _, w = walk.points(w)
         w = _normalized(w)
         rows.append((signs, _typed(w)))
     return rows

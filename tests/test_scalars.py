@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Quad
+
 from signstab import (
+    IntPoly,
     QuadExt,
     RadicandMismatchError,
     format_scalar,
     parse_scalar,
     pos_part,
-    quad_sqrt,
     scalar_sign,
+    verify_eigenpair,
 )
 from signstab import scalars
 from signstab.errors import FormatError
 from signstab.scalars import quad_sign, square_free_split
+from signstab.tropical import normalize_point
 
 GOLDEN_CONJ = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)  # (1 - sqrt 5)/2
 
@@ -31,7 +35,6 @@ def test_sign_examples():
 def test_pos_part_examples():
     assert pos_part(Fraction(-3)) == 0
     assert pos_part(Fraction(7, 2)) == Fraction(7, 2)
-    assert pos_part(GOLDEN_CONJ) == 0
 
 
 def test_sign_balanced_cases():
@@ -39,36 +42,39 @@ def test_sign_balanced_cases():
     v = QuadExt(7, -4, 3)  # 49 vs 48: barely positive
     assert scalar_sign(v) == 1
     assert scalar_sign(QuadExt(-7, 4, 3)) == -1
-    assert scalar_sign(QuadExt(2, -1, 2) * QuadExt(2, 1, 2)) == 1  # norm 2
+    assert scalar_sign(QuadExt(2, 0, 2)) == 1  # (2 - sqrt 2)(2 + sqrt 2)
 
 
 def test_golden_ratio_between_fibonacci_ratios():
+    # phi - 8/5 > 0 and phi - 13/8 < 0, and phi is a root of nu^2 - nu - 1
     phi = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
-    assert phi > Fraction(8, 5)
-    assert phi < Fraction(13, 8)
-    assert phi * phi == phi + 1
-
-
-def test_field_operations():
-    x = QuadExt(Fraction(1, 2), Fraction(-3, 4), 5)
-    assert x * x.inverse() == 1
-    assert (x / x) == 1
-    assert x + 0 == x
-    assert 1 / x == x.inverse()
+    assert QuadExt(Fraction(1, 2) - Fraction(8, 5), Fraction(1, 2), 5).sign() == 1
+    assert QuadExt(Fraction(1, 2) - Fraction(13, 8), Fraction(1, 2), 5).sign() == -1
+    assert IntPoly((-1, -1, 1))(phi) == 0
 
 
 def test_radicand_mismatch():
+    # two radicands meet only in the integer form of a point or an eigenpair
     with pytest.raises(RadicandMismatchError):
-        QuadExt(1, 1, 2) + QuadExt(1, 1, 3)
+        normalize_point((QuadExt(1, 1, 2), QuadExt(1, 1, 3)))
     with pytest.raises(RadicandMismatchError):
-        QuadExt(1, 1, 2) * QuadExt(0, 1, 5)
+        verify_eigenpair(((1,),), QuadExt(1, 1, 2), (QuadExt(0, 1, 5),))
 
 
-def test_rational_promotion():
+def test_quadext_is_a_value_type():
+    """A QuadExt is built, compared, hashed, signed, rendered and scaled by
+    an int or a Fraction; it has no other arithmetic and no ordering."""
     x = QuadExt(1, 1, 5)
-    assert x + Fraction(1, 2) == QuadExt(Fraction(3, 2), 1, 5)
-    assert 2 * x == QuadExt(2, 2, 5)
+    assert 2 * x == x * 2 == QuadExt(2, 2, 5)
+    assert Fraction(1, 2) * x == QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
     assert QuadExt(Fraction(7, 3), 0, 5) == Fraction(7, 3)
+    assert hash(QuadExt(Fraction(7, 3), 0, 5)) == hash(Fraction(7, 3))
+    assert hash(parse_scalar("1+sqrt(5)")) == hash(x)
+    assert float(x) == 1 + 5 ** 0.5 and str(x) == "1+sqrt(5)"
+    for op in (lambda: x + 1, lambda: 1 - x, lambda: -x, lambda: x * x,
+               lambda: x / 2, lambda: 1 / x, lambda: x < 2, lambda: x >= x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_radicand_checked_where_it_enters_only(monkeypatch):
@@ -84,11 +90,10 @@ def test_radicand_checked_where_it_enters_only(monkeypatch):
     x = QuadExt(Fraction(1, 2), Fraction(-3, 4), 999983)
     y = parse_scalar("2-sqrt(999983)")
     assert calls == [12, 999983, 999983, 999983]
-    # arithmetic results keep the radicand of their checked operands
-    for z in (x + y, x - 1, 2 - x, -x, x * y, 3 * x, x / y, 1 / x,
-              x.conjugate(), x.inverse(), pos_part(-x)):
+    # a rational multiple, and a point built back from the integer walk,
+    # keep the radicand of their checked operands
+    for z in (3 * x, x * Fraction(1, 2), *normalize_point((x, y))):
         assert isinstance(z, QuadExt) and z.d == 999983
-    assert x * x.inverse() == 1
     assert len(calls) == 4
 
 
@@ -121,13 +126,6 @@ def test_square_free_split():
     assert square_free_split(1) == (1, 1)
     assert square_free_split(49) == (7, 1)
     assert square_free_split(0) == (0, 1)
-
-
-def test_quad_sqrt():
-    assert quad_sqrt(12) == QuadExt(0, 2, 3)
-    assert quad_sqrt(4) == 2
-    assert quad_sqrt(0) == 0
-    assert quad_sqrt(Fraction(5, 4)) == QuadExt(0, Fraction(1, 2), 5)
 
 
 def test_nonsquarefree_radicand_rejected():
@@ -184,25 +182,15 @@ _quads = st.builds(QuadExt, _frac, _frac, st.just(5))
 
 
 @settings(max_examples=150)
-@given(_quads, _quads, _quads)
-def test_field_laws(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + y == y + x
-    assert x * y == y * x
-    if scalar_sign(y) != 0:
-        assert (x / y) * y == x
-
-
-@settings(max_examples=150)
 @given(_quads, _quads)
 def test_sign_multiplicative(x, y):
-    assert scalar_sign(x * y) == scalar_sign(x) * scalar_sign(y)
+    # the product by the oracle's arithmetic, its sign by the engine's
+    xy = Quad(x.a, x.b, 5) * Quad(y.a, y.b, 5)
+    assert scalar_sign(QuadExt(xy.a, xy.b, 5)) == scalar_sign(x) * scalar_sign(y)
 
 
 @settings(max_examples=150)
-@given(_quads)
+@given(_frac)
 def test_pos_part_identities(x):
     assert pos_part(x) - pos_part(-x) == x
     assert pos_part(x) * pos_part(-x) == 0

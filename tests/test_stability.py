@@ -39,8 +39,8 @@ from signstab import (
     is_strict,
     iterate_orbit,
     parse_sign_str,
+    parse_scalar,
     presentation_matrix_for_sign,
-    quad_sqrt,
     realizable_branches,
     sign_geq,
     sign_of_path,
@@ -616,8 +616,7 @@ def test_spectral_radius_against_conjugated_block_triangular():
 
 
 def test_stretch_kronecker3():
-    lam = quad_sqrt(5)
-    candidate = (3 + lam) / 2
+    candidate = parse_scalar("3/2+1/2*sqrt(5)")
     report = stretch_factor(kron_path(3), (1,), candidate=candidate)
     assert abs(report.value - float(candidate)) <= 1e-9
     assert report.exact_verified
@@ -635,7 +634,7 @@ def test_stretch_takes_one_radius_per_distinct_polynomial(sphere_path):
 
     char_poly.cache_clear()
     root_radius.cache_clear()
-    candidate = (3 + quad_sqrt(5)) / 2
+    candidate = parse_scalar("3/2+1/2*sqrt(5)")
     report = stretch_factor(sphere_path, parse_sign_str("+++00-+--+00-+++"),
                             candidate=candidate)
     assert len(report.table) == 16 and report.exact_verified
@@ -652,8 +651,8 @@ def test_stretch_takes_one_radius_per_distinct_polynomial(sphere_path):
 # Candidates that fail on sphere3b, whose stretch factor is (3 + sqrt 5)/2,
 # as (candidate, whether it is a root of every table polynomial)
 REJECTED_CANDIDATES = {
-    "conjugate": ((3 - quad_sqrt(5)) / 2, True),  # a root, far from lambda
-    "1+sqrt(2)": (1 + quad_sqrt(2), False),
+    "conjugate": (parse_scalar("3/2-1/2*sqrt(5)"), True),  # a root, far from lambda
+    "1+sqrt(2)": (parse_scalar("1+sqrt(2)"), False),
     "2": (F(2), False),
 }
 
@@ -676,7 +675,7 @@ def test_stretch_rejects_a_candidate_on_sphere3b(sphere_path, label):
     else:
         assert all(v != 0 for v in values)
     accepted = stretch_factor(sphere_path, eps_stab,
-                              candidate=(3 + quad_sqrt(5)) / 2)
+                              candidate=parse_scalar("3/2+1/2*sqrt(5)"))
     assert (accepted.value, accepted.table) == (report.value, report.table)
 
 
@@ -723,6 +722,29 @@ def test_verify_eigenpair_radicand_mismatch():
     x = (QuadExt(1, 1, 2), QuadExt(0, 1, 2))
     with pytest.raises(RadicandMismatchError):
         verify_eigenpair(((1, 0), (0, 1)), lam, x)
+
+
+@pytest.mark.parametrize("place", ["matrix", "eigenvalue", "vector"])
+def test_verify_eigenpair_second_radicand_anywhere(place):
+    """Every value is over sqrt(2) or rational but one, over sqrt(5): a
+    RadicandMismatchError wherever that one sits, even when its sqrt term
+    is 0, as in point_to_ints, and whatever the answer would have been."""
+    from signstab import RadicandMismatchError
+
+    m = [[QuadExt(1, 0, 2), F(0)], [F(0), F(1)]]
+    lam, x = QuadExt(1, 0, 2), [F(1), F(0)]  # an eigenpair over sqrt(2)
+    assert verify_eigenpair(m, lam, x)
+    other = QuadExt(1, 0, 5)
+    if place == "matrix":
+        m[0][0] = other
+    elif place == "eigenvalue":
+        lam = other
+    else:
+        x[0] = other
+    with pytest.raises(RadicandMismatchError) as err:
+        verify_eigenpair(m, lam, x)
+    assert str(err.value) in ("cannot mix sqrt(2) with sqrt(5)",
+                              "cannot mix sqrt(5) with sqrt(2)")
 
 
 def test_canonical_cone_membership():
